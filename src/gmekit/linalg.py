@@ -44,7 +44,10 @@ def kron_all(factors: Sequence) -> np.ndarray:
     """Tensor product of a sequence of matrices, left to right."""
     out = _as_matrix(factors[0])
     for f in factors[1:]:
-        out = np.kron(out, _as_matrix(f))
+        f = _as_matrix(f)
+        (r, c), (p, q) = out.shape, f.shape
+        # Same entries as np.kron, without its per-call reshaping overhead.
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(r * p, c * q)
     return out
 
 

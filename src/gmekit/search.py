@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exceptions import ValidationError
 from .states import DensityMatrix, PureState
@@ -192,6 +191,9 @@ def optimize(
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
+
+    # Imported here so that `import gmekit` does not pay for scipy.optimize.
+    from scipy.optimize import minimize
 
     dims = state.dims
 

@@ -152,24 +152,24 @@ def _check_factors(state: State, ops: Sequence) -> list[np.ndarray]:
 def _expect_factors(state: State, factors: Sequence[np.ndarray]) -> complex:
     """Expectation of a tensor product of per-subsystem operators."""
     if isinstance(state, PureState):
-        # Contract factor-wise on the amplitude tensor; never forms the full
-        # composite matrix, so large truncated Fock spaces stay cheap.
-        n = len(state.dims)
-        tensor = state.as_tensor()
-        bra = [chr(ord("a") + k) for k in range(n)]
-        ket = [chr(ord("a") + n + k) for k in range(n)]
-        script = ",".join(
-            ["".join(bra)] + [bra[k] + ket[k] for k in range(n)] + ["".join(ket)]
-        )
-        return complex(np.einsum(script, tensor.conj(), *factors, tensor))
-    full = kron_all(factors)
-    return complex(np.trace(full @ state.matrix))
+        # Apply each factor to its own axis of the amplitude tensor, then take
+        # one inner product: O(D * sum(d)) work, and the D x D composite
+        # operator is never formed.
+        out = psi = state.amplitudes
+        pre, post = 1, psi.size
+        for f, d in zip(factors, state.dims):
+            post //= d
+            out = f @ out.reshape(pre, d, post)
+            pre *= d
+        return complex(np.vdot(psi, out))
+    # Tr(F rho) as an elementwise sum, O(D^2) rather than the O(D^3) product.
+    return complex(np.einsum("ij,ji->", kron_all(factors), state.matrix))
 
 
 def _expect_full(state: State, op: np.ndarray) -> complex:
     if isinstance(state, PureState):
         return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
-    return complex(np.trace(op @ state.matrix))
+    return complex(np.einsum("ij,ji->", op, state.matrix))
 
 
 def _positive(value: complex, tolerance: float, what: str) -> float:
@@ -411,28 +411,28 @@ def noise_threshold(
 
     For white-noise mixtures the margin is monotone in s (the lhs is linear
     and each rhs term has the form sqrt(alpha*s + beta*(1-s))); this is
-    verified numerically on a coarse grid before bisecting the margin sign
-    to within ``s_tol``.  Returns None when no violation occurs on [0, 1].
+    verified numerically on a coarse grid before bisecting on the report's
+    ``violated`` verdict (margin > tolerance) to within ``s_tol``, so the
+    reports just above and below the threshold agree with it.  Returns None
+    when no violation occurs on [0, 1].
     """
 
-    def margin(s: float) -> float:
-        return evaluate_condition(
-            condition, white_noise_mix(psi, s), ops, tolerance=tolerance
-        ).margin
+    def report(s: float) -> WitnessReport:
+        return evaluate_condition(condition, white_noise_mix(psi, s), ops, tolerance=tolerance)
 
     if check_monotone:
         grid = np.linspace(0.0, 1.0, 21)
-        margins = np.array([margin(s) for s in grid])
+        margins = np.array([report(s).margin for s in grid])
         if np.any(np.diff(margins) < -1e-9):
             raise ValidationError(
                 "margin is not monotone in the noise weight; bisection is unreliable here"
             )
-    if margin(1.0) <= 0.0:
+    if not report(1.0).violated:
         return None
     lo, hi = 0.0, 1.0
     while hi - lo > s_tol:
         mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
+        if report(mid).violated:
             hi = mid
         else:
             lo = mid

@@ -1,8 +1,8 @@
 """Brute-force oracles, independent of the library's evaluation paths.
 
 Everything here expands expectation values by explicit summation over basis
-index tuples, so it shares no code with the einsum/kron implementations it
-is used to check.
+index tuples, so it shares no code with the factor-wise contraction and the
+Kronecker-product trace it is used to check.
 """
 
 import numpy as np
@@ -24,6 +24,21 @@ def product_expectation_bruteforce(amplitudes, dims, factors) -> complex:
             continue
         for ket in np.ndindex(*dims):
             term = coeff_bra * amplitudes[_flat(dims, ket)]
+            if term == 0:
+                continue
+            for k, op in enumerate(factors):
+                term *= op[bra[k], ket[k]]
+            total += term
+    return complex(total)
+
+
+def product_expectation_density_bruteforce(rho, dims, factors) -> complex:
+    """Tr(F1 x F2 x ... rho) by explicit double loop over basis tuples."""
+    total = 0.0 + 0.0j
+    for bra in np.ndindex(*dims):
+        i = _flat(dims, bra)
+        for ket in np.ndindex(*dims):
+            term = rho[_flat(dims, ket), i]
             if term == 0:
                 continue
             for k, op in enumerate(factors):

@@ -179,6 +179,18 @@ def test_scan_noise_no_threshold(state_file, capsys):
     assert doc["threshold"] is None
 
 
+def test_scan_noise_tolerance_above_pure_margin(state_file, capsys):
+    # the flip pair's pure-state margin is 0.5: no noise weight is violated
+    code, doc = run_json(
+        capsys,
+        ["scan-noise", "--state", state_file(PSI2_DOC),
+         "--ops", "sigma_minus", "sigma_minus", "sigma_minus",
+         "--condition", "tri-dagger", "--tolerance", "0.6"],
+    )
+    assert code == 0
+    assert doc["threshold"] is None
+
+
 def test_scan_noise_rejects_mixed_state(state_file, capsys):
     doc = dict(PSI2_DOC, kind="white_noise", s=0.7)
     code = main(

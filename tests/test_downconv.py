@@ -131,6 +131,16 @@ def test_witness_matches_pair_sum_and_rhs_vanishes():
         assert report.violated == (report.lhs > report.tolerance)
 
 
+def test_witness_large_fock_space():
+    params = DownConversionParams(16)
+    for amps in time_series(params, [0.02, 0.05, 0.11]):
+        assert to_pure_state(amps).dim == 17**3
+        report = downconv_witness(amps)
+        assert report.lhs == pytest.approx(abs(even_pair_sum(amps)), abs=1e-12)
+        for _, term in report.rhs_terms:
+            assert term <= 1e-12
+
+
 def test_block_witness_single_pair():
     rng = np.random.default_rng(10)
     n_pump = 4

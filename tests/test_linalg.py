@@ -12,6 +12,7 @@ from gmekit import (
     expectation,
     hermitian_evolve,
     kron,
+    kron_all,
     matmul,
     sigma_minus,
     trace,
@@ -33,6 +34,21 @@ def test_kron_sigma_minus_pair():
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3] = 1.0  # |00><11|
     np.testing.assert_array_equal(out, expected)
+
+
+def test_kron_all_equals_np_kron_chain():
+    rng = np.random.default_rng(4)
+    factors = [random_matrix(rng, r, c) for r, c in [(2, 3), (1, 4), (3, 3), (4, 2)]]
+    expected = factors[0]
+    assert np.array_equal(kron_all(factors[:1]), expected)
+    for k in range(2, len(factors) + 1):
+        expected = np.kron(expected, factors[k - 1])
+        assert np.array_equal(kron_all(factors[:k]), expected)
+    bad = np.eye(2, dtype=complex)
+    bad[0, 1] = np.nan
+    for chain in ([bad, np.eye(2)], [np.eye(2), bad], [np.eye(2), np.full((2, 2), np.inf)]):
+        with pytest.raises(ValidationError):
+            kron_all(chain)
 
 
 @given(st.integers(0, 10**6))

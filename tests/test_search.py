@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gmekit
 from gmekit import (
     DensityMatrix,
     RankOneParams,
@@ -109,3 +114,10 @@ def test_sigma_minus_is_canonical_start():
     ops = res.best_params.operators()
     for op in ops:
         assert np.max(np.abs(op - sigma_minus())) < 1e-9
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(gmekit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gmekit; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -23,13 +23,15 @@ from gmekit import (
     tripartite_product,
     white_noise_mix,
 )
-from gmekit.witness import _positive
+from gmekit.witness import _expect_factors, _positive
 from helpers import (
     random_density_matrix,
     random_hermitian,
+    random_matrix,
     random_pure_state,
     random_rank_one,
 )
+from oracles import product_expectation_bruteforce, product_expectation_density_bruteforce
 
 SM = sigma_minus()
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -324,3 +326,33 @@ def test_noise_threshold_bisection():
     assert thr == pytest.approx(0.5, abs=1e-9)
     product = superposition((2, 2, 2), [(1, (0, 0, 0))])
     assert noise_threshold(product, [SM, SM, SM], "tri-dagger") is None
+
+
+def test_noise_threshold_agrees_with_report_verdicts():
+    ops = [SM, SM, SM]
+    thr = noise_threshold(psi2(), ops, "tri-dagger", tolerance=0.1)
+
+    def violated(s):
+        return evaluate_condition(
+            "tri-dagger", white_noise_mix(psi2(), s), ops, tolerance=0.1
+        ).violated
+
+    assert violated(thr + 1e-6)
+    assert not violated(thr - 1e-6)
+    # the pure state's margin is 0.5, so no mixture clears a 0.6 tolerance
+    assert noise_threshold(psi2(), ops, "tri-dagger", tolerance=0.6) is None
+
+
+# --- expectation kernel -------------------------------------------------------
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 2, 2, 3), (2, 2, 2, 2, 2)])
+def test_expect_factors_matches_bruteforce_oracles(dims):
+    rng = np.random.default_rng(len(dims))
+    factors = [random_matrix(rng, d, d) for d in dims]  # non-hermitian
+    psi = random_pure_state(rng, dims)
+    expected = product_expectation_bruteforce(psi.amplitudes, dims, factors)
+    assert abs(_expect_factors(psi, factors) - expected) <= 1e-12
+    rho = random_density_matrix(rng, dims)
+    expected = product_expectation_density_bruteforce(rho.matrix, dims, factors)
+    assert abs(_expect_factors(rho, factors) - expected) <= 1e-12
