@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_scan = sub.add_parser(
-        "scan-noise", help="bisect the white-noise threshold s* of a pure state"
+        "scan-noise", help="exact white-noise threshold s* of a pure state"
     )
     add_common(p_scan)
     p_scan.add_argument("--condition", required=True, choices=CONDITION_NAMES)

@@ -140,15 +140,21 @@ def superposition(
     return PureState(dims, vec / norm)
 
 
+def _check_weight(s) -> float:
+    """The white-noise mixing weight s as a float, which must lie in [0, 1]."""
+    s = float(s)
+    if not 0.0 <= s <= 1.0:
+        raise ValidationError(f"mixing weight s={s!r} must lie in [0, 1]")
+    return s
+
+
 def white_noise_mix(psi: PureState, s: float) -> DensityMatrix:
     """Mix a pure state with white noise: s*|psi><psi| + (1-s)/D * I.
 
     D is the total Hilbert-space dimension (8 for three qubits, 16 for
     four).  s=1 gives the pure projector, s=0 the maximally mixed state.
     """
-    s = float(s)
-    if not 0.0 <= s <= 1.0:
-        raise ValidationError(f"mixing weight s={s!r} must lie in [0, 1]")
+    s = _check_weight(s)
     d = psi.dim
     mat = s * np.outer(psi.amplitudes, psi.amplitudes.conj())
     mat += (1.0 - s) / d * np.eye(d)

@@ -41,15 +41,18 @@ the terms) so their strength can be compared directly.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .exceptions import NumericalConsistencyError, ShapeError, ValidationError
 from .linalg import _as_square, kron_all
-from .operators import embed
-from .states import DensityMatrix, PureState, white_noise_mix
+# white_noise_mix is unused here but stays part of this module's namespace,
+# where callers look it up.
+from .states import DensityMatrix, PureState, _check_weight, white_noise_mix  # noqa: F401
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -135,41 +138,58 @@ def _build_report(lhs: float, terms: Sequence[tuple[str, float]], tolerance: flo
     )
 
 
-def _check_factors(state: State, ops: Sequence) -> list[np.ndarray]:
-    if len(ops) != len(state.dims):
-        raise ShapeError(f"{len(ops)} operators for {len(state.dims)} subsystems")
+def _check_factors(dims: Sequence[int], ops: Sequence) -> list[np.ndarray]:
+    if len(ops) != len(dims):
+        raise ShapeError(f"{len(ops)} operators for {len(dims)} subsystems")
     mats = []
     for k, op in enumerate(ops):
         m = _as_square(op)
-        if m.shape[0] != state.dims[k]:
-            raise ShapeError(
-                f"operator {k} has dimension {m.shape[0]}, subsystem has {state.dims[k]}"
-            )
+        if m.shape[0] != dims[k]:
+            raise ShapeError(f"operator {k} has dimension {m.shape[0]}, subsystem has {dims[k]}")
         mats.append(m)
     return mats
 
 
-def _expect_factors(state: State, factors: Sequence[np.ndarray]) -> complex:
-    """Expectation of a tensor product of per-subsystem operators."""
-    if isinstance(state, PureState):
-        # Apply each factor to its own axis of the amplitude tensor, then take
-        # one inner product: O(D * sum(d)) work, and the D x D composite
-        # operator is never formed.
-        out = psi = state.amplitudes
-        pre, post = 1, psi.size
-        for f, d in zip(factors, state.dims):
-            post //= d
-            out = f @ out.reshape(pre, d, post)
-            pre *= d
-        return complex(np.vdot(psi, out))
+def _expect_pure(amplitudes: np.ndarray, dims: Sequence[int], factors) -> complex:
+    # Apply each factor to its own axis of the amplitude tensor, then take
+    # one inner product: O(D * sum(d)) work, and the D x D composite
+    # operator is never formed.
+    out = amplitudes
+    pre, post = 1, amplitudes.size
+    for f, d in zip(factors, dims):
+        post //= d
+        out = f @ out.reshape(pre, d, post)
+        pre *= d
+    return complex(np.vdot(amplitudes, out))
+
+
+def _expect_density(matrix: np.ndarray, factors) -> complex:
     # Tr(F rho) as an elementwise sum, O(D^2) rather than the O(D^3) product.
-    return complex(np.einsum("ij,ji->", kron_all(factors), state.matrix))
+    return complex(np.einsum("ij,ji->", kron_all(factors), matrix))
 
 
-def _expect_full(state: State, op: np.ndarray) -> complex:
-    if isinstance(state, PureState):
-        return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
-    return complex(np.einsum("ij,ji->", op, state.matrix))
+def _expectation(
+    state: State, blocks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+) -> tuple[tuple[int, ...], Callable[[Sequence[np.ndarray]], complex]]:
+    """Party dimensions and expect(factors), the expectation of a tensor
+    product with one factor per party.
+
+    The parties are the state's subsystems, or with ``blocks`` the two
+    blocks, each taking its subsystems in the order listed: the state is
+    permuted into block order, so a block operator is one factor and no
+    D x D embedding is formed.
+    """
+    pure = isinstance(state, PureState)
+    data = state.amplitudes if pure else state.matrix
+    dims = state.dims
+    if blocks is not None:
+        order = [*blocks[0], *blocks[1]]
+        axes = order if pure else order + [len(dims) + i for i in order]
+        data = data.reshape(dims if pure else dims * 2).transpose(axes).reshape(data.shape)
+        dims = tuple(math.prod(dims[i] for i in block) for block in blocks)
+    if pure:
+        return dims, partial(_expect_pure, data, dims)
+    return dims, partial(_expect_density, data)
 
 
 def _positive(value: complex, tolerance: float, what: str) -> float:
@@ -207,7 +227,96 @@ def _check_blocks(
         raise ValidationError("blocks must cover all subsystems")
     if not left or not right:
         raise ValidationError("blocks must both be nonempty")
+    for block in (left, right):
+        if any(b >= a for a, b in zip(block[1:], block)):
+            raise ValidationError(f"block {block} must be strictly increasing")
     return left, right
+
+
+# --- condition terms ------------------------------------------------------------
+#
+# Each function below returns the factor list of the lhs correlation and,
+# per rhs label, the factor lists of the positive expectations whose product
+# is that term squared.
+
+
+def _bi_dagger_terms(l, m, label):
+    ld, md = l.conj().T, m.conj().T
+    return [ld, m], [(label, [[ld @ l, md @ m]])]
+
+
+def _bi_product_terms(l, m, label):
+    ll, mm = l.conj().T @ l, m.conj().T @ m
+    il, im = np.eye(l.shape[0], dtype=complex), np.eye(m.shape[0], dtype=complex)
+    return [l, m], [(label, [[ll, im], [il, mm]])]
+
+
+def _tri_dagger_terms(a, b, c):
+    ad, bd, cd = a.conj().T, b.conj().T, c.conj().T
+    aa = ad @ a
+    return [ad, b, c], [
+        ("ab|c", [[aa, b @ bd, cd @ c]]),
+        ("ac|b", [[aa, bd @ b, c @ cd]]),
+        ("bc|a", [[aa, bd @ b, cd @ c]]),
+    ]
+
+
+def _tri_product_terms(a, b, c):
+    ia, ib, ic = (np.eye(m.shape[0], dtype=complex) for m in (a, b, c))
+    aa, bb, cc = a.conj().T @ a, b.conj().T @ b, c.conj().T @ c
+    return [a, b, c], [
+        ("a|bc", [[aa, ib, ic], [ia, bb, cc]]),
+        ("b|ac", [[ia, bb, ic], [aa, ib, cc]]),
+        ("c|ab", [[ia, ib, cc], [aa, bb, ic]]),
+    ]
+
+
+def _quad_dagger_terms(a, b, c, d):
+    ad, bd, cd, dd = (m.conj().T for m in (a, b, c, d))
+    aa = ad @ a
+    return [ad, b, c, d], [
+        ("a|bcd", [[aa, bd @ b, cd @ c, dd @ d]]),
+        ("b|acd", [[aa, bd @ b, c @ cd, d @ dd]]),
+        ("c|abd", [[aa, b @ bd, cd @ c, d @ dd]]),
+        ("d|abc", [[aa, b @ bd, c @ cd, dd @ d]]),
+        ("ab|cd", [[aa, b @ bd, cd @ c, dd @ d]]),
+        ("ac|bd", [[aa, bd @ b, c @ cd, dd @ d]]),
+        ("ad|bc", [[aa, bd @ b, cd @ c, d @ dd]]),
+    ]
+
+
+_MULTIPARTITE_TERMS = {
+    "tri-product": _tri_product_terms,
+    "tri-dagger": _tri_dagger_terms,
+    "quad-dagger": _quad_dagger_terms,
+}
+
+
+def _prepare(name: str, state: State, ops: Sequence, blocks=None):
+    """expect() on the state, and the lhs and rhs factor lists of the named
+    condition for the given operators."""
+    n = len(state.dims)
+    if name in ("bi1", "bi2"):
+        left, right = _check_blocks(state, blocks)
+        dims, expect = _expectation(state, (left, right))
+        build = _bi_dagger_terms if name == "bi1" else _bi_product_terms
+        return (expect, *build(*_check_factors(dims, ops), _block_label(left, n)))
+    if n != _ARITY[name]:
+        raise ShapeError(f"condition {name!r} needs {_ARITY[name]} subsystems, got {n}")
+    dims, expect = _expectation(state)
+    return (expect, *_MULTIPARTITE_TERMS[name](*_check_factors(dims, ops)))
+
+
+def _evaluate(name: str, state: State, ops: Sequence, tolerance, blocks=None) -> WitnessReport:
+    tol = _resolve_tolerance(tolerance)
+    expect, lhs_factors, rhs = _prepare(name, state, ops, blocks)
+    terms = []
+    for label, groups in rhs:
+        square = 1.0
+        for factors in groups:
+            square *= _positive(expect(factors), tol, label)
+        terms.append((label, math.sqrt(square)))
+    return _build_report(abs(expect(lhs_factors)), terms, tol)
 
 
 def bipartite_dagger(
@@ -223,15 +332,7 @@ def bipartite_dagger(
     versus the rest).  Violation certifies entanglement across that
     bipartition.
     """
-    tol = _resolve_tolerance(tolerance)
-    left, right = _check_blocks(state, blocks)
-    n = len(state.dims)
-    op_l = embed(state.dims, left, op_left)
-    op_m = embed(state.dims, right, op_right)
-    lhs = abs(_expect_full(state, op_l.conj().T @ op_m))
-    joint = op_l.conj().T @ op_l @ op_m.conj().T @ op_m
-    term = np.sqrt(_positive(_expect_full(state, joint), tol, "L†L M†M"))
-    return _build_report(lhs, [(_block_label(left, n), float(term))], tol)
+    return _evaluate("bi1", state, (op_left, op_right), tolerance, blocks)
 
 
 def bipartite_product(
@@ -242,16 +343,7 @@ def bipartite_product(
     tolerance: float | None = None,
 ) -> WitnessReport:
     """Separability condition |⟨LM⟩|² <= ⟨L†L⟩⟨M†M⟩ across a bipartition."""
-    tol = _resolve_tolerance(tolerance)
-    left, right = _check_blocks(state, blocks)
-    n = len(state.dims)
-    op_l = embed(state.dims, left, op_left)
-    op_m = embed(state.dims, right, op_right)
-    lhs = abs(_expect_full(state, op_l @ op_m))
-    e_l = _positive(_expect_full(state, op_l.conj().T @ op_l), tol, "L†L")
-    e_m = _positive(_expect_full(state, op_m.conj().T @ op_m), tol, "M†M")
-    term = np.sqrt(e_l * e_m)
-    return _build_report(lhs, [(_block_label(left, n), float(term))], tol)
+    return _evaluate("bi2", state, (op_left, op_right), tolerance, blocks)
 
 
 def tripartite_dagger(
@@ -262,22 +354,7 @@ def tripartite_dagger(
     lhs = |⟨A†BC⟩|; one rhs term per bipartition, as listed in the module
     docstring.  ``violated`` certifies genuine tripartite entanglement.
     """
-    tol = _resolve_tolerance(tolerance)
-    if len(state.dims) != 3:
-        raise ShapeError(f"tripartite condition needs 3 subsystems, got {len(state.dims)}")
-    a, b, c = _check_factors(state, (op_a, op_b, op_c))
-    ad, bd, cd = a.conj().T, b.conj().T, c.conj().T
-    lhs = abs(_expect_factors(state, [ad, b, c]))
-    products = [
-        ("ab|c", [ad @ a, b @ bd, cd @ c]),
-        ("ac|b", [ad @ a, bd @ b, c @ cd]),
-        ("bc|a", [ad @ a, bd @ b, cd @ c]),
-    ]
-    terms = [
-        (label, float(np.sqrt(_positive(_expect_factors(state, facs), tol, label))))
-        for label, facs in products
-    ]
-    return _build_report(lhs, terms, tol)
+    return _evaluate("tri-dagger", state, (op_a, op_b, op_c), tolerance)
 
 
 def tripartite_product(
@@ -288,24 +365,7 @@ def tripartite_product(
     lhs = |⟨ABC⟩|; each rhs term is the square root of a product of a local
     second moment with a joint second moment of the complementary pair.
     """
-    tol = _resolve_tolerance(tolerance)
-    if len(state.dims) != 3:
-        raise ShapeError(f"tripartite condition needs 3 subsystems, got {len(state.dims)}")
-    a, b, c = _check_factors(state, (op_a, op_b, op_c))
-    eyes = [np.eye(d, dtype=complex) for d in state.dims]
-    aa, bb, cc = a.conj().T @ a, b.conj().T @ b, c.conj().T @ c
-    lhs = abs(_expect_factors(state, [a, b, c]))
-    pairs = [
-        ("a|bc", [aa, eyes[1], eyes[2]], [eyes[0], bb, cc]),
-        ("b|ac", [eyes[0], bb, eyes[2]], [aa, eyes[1], cc]),
-        ("c|ab", [eyes[0], eyes[1], cc], [aa, bb, eyes[2]]),
-    ]
-    terms = []
-    for label, single, joint in pairs:
-        e1 = _positive(_expect_factors(state, single), tol, label)
-        e2 = _positive(_expect_factors(state, joint), tol, label)
-        terms.append((label, float(np.sqrt(e1 * e2))))
-    return _build_report(lhs, terms, tol)
+    return _evaluate("tri-product", state, (op_a, op_b, op_c), tolerance)
 
 
 def quadripartite_dagger(
@@ -316,27 +376,7 @@ def quadripartite_dagger(
     lhs = |⟨A†BCD⟩|; seven rhs terms, one per bipartition of four
     subsystems.  ``violated`` certifies genuine 4-partite entanglement.
     """
-    tol = _resolve_tolerance(tolerance)
-    if len(state.dims) != 4:
-        raise ShapeError(f"quadripartite condition needs 4 subsystems, got {len(state.dims)}")
-    a, b, c, d = _check_factors(state, (op_a, op_b, op_c, op_d))
-    ad, bd, cd, dd = (m.conj().T for m in (a, b, c, d))
-    lhs = abs(_expect_factors(state, [ad, b, c, d]))
-    aa = ad @ a
-    products = [
-        ("a|bcd", [aa, bd @ b, cd @ c, dd @ d]),
-        ("b|acd", [aa, bd @ b, c @ cd, d @ dd]),
-        ("c|abd", [aa, b @ bd, cd @ c, d @ dd]),
-        ("d|abc", [aa, b @ bd, c @ cd, dd @ d]),
-        ("ab|cd", [aa, b @ bd, cd @ c, dd @ d]),
-        ("ac|bd", [aa, bd @ b, c @ cd, dd @ d]),
-        ("ad|bc", [aa, bd @ b, cd @ c, d @ dd]),
-    ]
-    terms = [
-        (label, float(np.sqrt(_positive(_expect_factors(state, facs), tol, label))))
-        for label, facs in products
-    ]
-    return _build_report(lhs, terms, tol)
+    return _evaluate("quad-dagger", state, (op_a, op_b, op_c, op_d), tolerance)
 
 
 # --- condition registry -------------------------------------------------------
@@ -356,6 +396,12 @@ def condition_arity(name: str) -> int:
         ) from None
 
 
+def _check_arity(name: str, ops: Sequence) -> None:
+    arity = condition_arity(name)
+    if len(ops) != arity:
+        raise ValidationError(f"condition {name!r} takes {arity} operators, got {len(ops)}")
+
+
 def evaluate_condition(
     name: str,
     state: State,
@@ -368,9 +414,7 @@ def evaluate_condition(
     ``bi1``/``bi2`` take (L, M) plus optional ``blocks``; the multipartite
     conditions take one operator per subsystem.
     """
-    arity = condition_arity(name)
-    if len(ops) != arity:
-        raise ValidationError(f"condition {name!r} takes {arity} operators, got {len(ops)}")
+    _check_arity(name, ops)
     if name == "bi1":
         return bipartite_dagger(state, ops[0], ops[1], blocks=blocks, tolerance=tolerance)
     if name == "bi2":
@@ -382,7 +426,44 @@ def evaluate_condition(
     return quadripartite_dagger(state, *ops, tolerance=tolerance)
 
 
-# --- white-noise threshold ----------------------------------------------------
+# --- white-noise family -------------------------------------------------------
+
+# Width in s to which noise_threshold bisects.
+_S_RESOLUTION = 1e-15
+
+
+def _white_noise(
+    psi: PureState, ops: Sequence, condition: str, tolerance
+) -> Callable[[float], WitnessReport]:
+    """report(s): the condition on s|psi><psi| + (1-s)/D * I, 0 <= s <= 1.
+
+    Every expectation is affine in s, ⟨F⟩_s = s⟨F⟩_psi + (1-s) Tr F / D, and
+    the trace of a tensor product is the product of the factors' traces, so
+    one evaluation on psi fixes the condition for every s.  Reports equal
+    those of the density path on ``white_noise_mix(psi, s)`` up to roundoff.
+    """
+    _check_arity(condition, ops)
+    tol = _resolve_tolerance(tolerance)
+    expect, lhs_factors, rhs = _prepare(condition, psi, ops)
+
+    def noise(factors) -> complex:
+        return math.prod(complex(np.trace(f)) for f in factors) / psi.dim
+
+    lhs_psi, lhs_noise = expect(lhs_factors), noise(lhs_factors)
+    # Per rhs label, one (on psi, on noise) pair per positive expectation.
+    pairs = [
+        (label, [(_positive(expect(f), tol, label), max(noise(f).real, 0.0)) for f in groups])
+        for label, groups in rhs
+    ]
+
+    def report(s: float) -> WitnessReport:
+        terms = [
+            (label, math.sqrt(math.prod(s * x + (1.0 - s) * y for x, y in xy)))
+            for label, xy in pairs
+        ]
+        return _build_report(abs(s * lhs_psi + (1.0 - s) * lhs_noise), terms, tol)
+
+    return report
 
 
 def noise_margin_curve(
@@ -392,11 +473,15 @@ def noise_margin_curve(
     s_values: Sequence[float],
     tolerance: float | None = None,
 ) -> list[WitnessReport]:
-    """Evaluate the condition on s|psi><psi| + (1-s)/D * I over a grid of s."""
-    return [
-        evaluate_condition(condition, white_noise_mix(psi, s), ops, tolerance=tolerance)
-        for s in s_values
-    ]
+    """Evaluate the condition on s|psi><psi| + (1-s)/D * I over a grid of s.
+
+    Each report equals ``evaluate_condition(condition, white_noise_mix(psi,
+    s), ops, tolerance)`` up to roundoff; no density matrix is formed.
+    Raises ValidationError for an s outside [0, 1].
+    """
+    weights = [_check_weight(s) for s in s_values]
+    report = _white_noise(psi, ops, condition, tolerance)
+    return [report(s) for s in weights]
 
 
 def noise_threshold(
@@ -404,36 +489,29 @@ def noise_threshold(
     ops: Sequence,
     condition: str,
     tolerance: float | None = None,
-    s_tol: float = 1e-10,
-    check_monotone: bool = True,
 ) -> float | None:
-    """Smallest noise weight s at which the condition flips to violated.
+    """Smallest noise weight s at which the condition is violated.
 
-    For white-noise mixtures the margin is monotone in s (the lhs is linear
-    and each rhs term has the form sqrt(alpha*s + beta*(1-s))); this is
-    verified numerically on a coarse grid before bisecting on the report's
-    ``violated`` verdict (margin > tolerance) to within ``s_tol``, so the
-    reports just above and below the threshold agree with it.  Returns None
-    when no violation occurs on [0, 1].
+    Returns inf{s in [0, 1] : margin(s) > tolerance} on the family
+    s|psi><psi| + (1-s)/D * I, to within 1e-15 and from above, so the report
+    at the returned s is violated; None when no s in [0, 1] is violated.
+
+    The margin need not be monotone in s, but the verdict is.  For each rhs
+    term, lhs(s) - term(s) is convex (|affine| is convex; sqrt(affine) and
+    sqrt(affine * affine) are concave), so the s where it stays at or below
+    the tolerance form one interval.  At s = 0, the maximally mixed state,
+    every term equals sqrt(prod_k Tr X_k†X_k / D) >= |lhs| by Cauchy-Schwarz,
+    so each interval contains 0 and the violated set is (s*, 1] or empty;
+    s* is bisected on the closed form.
     """
-
-    def report(s: float) -> WitnessReport:
-        return evaluate_condition(condition, white_noise_mix(psi, s), ops, tolerance=tolerance)
-
-    if check_monotone:
-        grid = np.linspace(0.0, 1.0, 21)
-        margins = np.array([report(s).margin for s in grid])
-        if np.any(np.diff(margins) < -1e-9):
-            raise ValidationError(
-                "margin is not monotone in the noise weight; bisection is unreliable here"
-            )
+    report = _white_noise(psi, ops, condition, tolerance)
     if not report(1.0).violated:
         return None
     lo, hi = 0.0, 1.0
-    while hi - lo > s_tol:
+    while hi - lo > _S_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if report(mid).violated:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return hi

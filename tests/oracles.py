@@ -63,3 +63,41 @@ def tri_dagger_bruteforce(psi, op_a, op_b, op_c):
         for ops in rhs_ops
     ]
     return lhs, terms
+
+
+def block_expectation_bruteforce(data, dims, left, right, op_left, op_right) -> complex:
+    """<X_L (x) Y_M> for X on the subsystems ``left`` and Y on ``right``.
+
+    ``data`` is an amplitude vector or a density matrix.  Each operator's
+    row and column indices are the block's occupations flattened in the
+    order the block lists its subsystems; the expectation is summed over
+    every pair of full basis tuples.
+    """
+    rho = np.outer(data, np.conj(data)) if np.ndim(data) == 1 else data
+    bl = [dims[i] for i in left]
+    br = [dims[i] for i in right]
+    total = 0.0 + 0.0j
+    for bra in np.ndindex(*dims):
+        for ket in np.ndindex(*dims):
+            weight = rho[_flat(dims, ket), _flat(dims, bra)]
+            if weight == 0:
+                continue
+            x = op_left[_flat(bl, [bra[i] for i in left]), _flat(bl, [ket[i] for i in left])]
+            y = op_right[_flat(br, [bra[i] for i in right]), _flat(br, [ket[i] for i in right])]
+            total += weight * x * y
+    return complex(total)
+
+
+def bipartite_bruteforce(data, dims, left, right, op_l, op_m):
+    """(lhs, rhs) of bi1 and of bi2 for L on ``left`` and M on ``right``."""
+
+    def expect(x, y):
+        return block_expectation_bruteforce(data, dims, left, right, x, y)
+
+    ld, md = op_l.conj().T, op_m.conj().T
+    il, im = np.eye(op_l.shape[0]), np.eye(op_m.shape[0])
+    bi1 = (abs(expect(ld, op_m)), np.sqrt(max(expect(ld @ op_l, md @ op_m).real, 0.0)))
+    e_l = max(expect(ld @ op_l, im).real, 0.0)
+    e_m = max(expect(il, md @ op_m).real, 0.0)
+    bi2 = (abs(expect(op_l, op_m)), np.sqrt(e_l * e_m))
+    return bi1, bi2

@@ -1,10 +1,17 @@
+import json
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gmekit.states as states_module
+import gmekit.witness as witness_module
 from gmekit import (
     NumericalConsistencyError,
+    PureState,
     ShapeError,
     ValidationError,
     all_bipartitions,
@@ -12,6 +19,7 @@ from gmekit import (
     bipartite_product,
     evaluate_condition,
     ketbra,
+    noise_margin_curve,
     noise_threshold,
     quadripartite_dagger,
     qutrit_lower,
@@ -23,7 +31,7 @@ from gmekit import (
     tripartite_product,
     white_noise_mix,
 )
-from gmekit.witness import _expect_factors, _positive
+from gmekit.witness import _expectation, _positive
 from helpers import (
     random_density_matrix,
     random_hermitian,
@@ -31,7 +39,11 @@ from helpers import (
     random_pure_state,
     random_rank_one,
 )
-from oracles import product_expectation_bruteforce, product_expectation_density_bruteforce
+from oracles import (
+    bipartite_bruteforce,
+    product_expectation_bruteforce,
+    product_expectation_density_bruteforce,
+)
 
 SM = sigma_minus()
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -98,6 +110,38 @@ def test_bipartite_block_validation():
         bipartite_dagger(psi, SM, SM, blocks=((0,), (0, 1)))
     with pytest.raises(ValidationError):
         bipartite_dagger(psi, SM, SM, blocks=((0, 1), ()))
+    with pytest.raises(ValidationError):  # a block lists its subsystems in order
+        bipartite_dagger(psi2(), np.eye(4), SM, blocks=((2, 0), (1,)))
+
+
+@pytest.mark.parametrize(
+    "dims, blocks",
+    [
+        ((2, 3), None),
+        ((2, 3, 2), None),
+        ((2, 3, 2), ((0, 2), (1,))),
+        ((2, 3, 2), ((1,), (0, 2))),
+        ((2, 2, 3, 2), ((1, 3), (0, 2))),
+    ],
+)
+def test_bipartite_conditions_match_bruteforce_oracle(dims, blocks):
+    rng = np.random.default_rng(len(dims) + sum(dims))
+    left, right = blocks or ((0,), tuple(range(1, len(dims))))
+    op_l = random_matrix(rng, *[math.prod(dims[i] for i in left)] * 2)
+    op_m = random_matrix(rng, *[math.prod(dims[i] for i in right)] * 2)
+    label = "".join("abcd"[i] for i in left) + "|" + "".join("abcd"[i] for i in right)
+    pure = random_pure_state(rng, dims)
+    rho = random_density_matrix(rng, dims)
+    for state, data in ((pure, pure.amplitudes), (rho, rho.matrix)):
+        expected = bipartite_bruteforce(data, dims, left, right, op_l, op_m)
+        reports = (
+            bipartite_dagger(state, op_l, op_m, blocks=blocks),
+            bipartite_product(state, op_l, op_m, blocks=blocks),
+        )
+        for report, (lhs, term) in zip(reports, expected):
+            assert abs(report.lhs - lhs) <= 1e-12
+            assert report.rhs_terms[0][0] == label and len(report.rhs_terms) == 1
+            assert abs(report.rhs_max - term) <= 1e-12
 
 
 # --- tripartite product form --------------------------------------------------
@@ -343,11 +387,168 @@ def test_noise_threshold_agrees_with_report_verdicts():
     assert noise_threshold(psi2(), ops, "tri-dagger", tolerance=0.6) is None
 
 
+QUAD_FLIP = superposition((2, 2, 2, 2), [(1, (0, 1, 1, 1)), (1, (1, 0, 0, 0))])
+
+
+def test_noise_threshold_exact_at_zero_tolerance():
+    assert abs(noise_threshold(psi2(), [SM] * 3, "tri-dagger", tolerance=0.0) - 0.5) <= 1e-12
+    quad = noise_threshold(QUAD_FLIP, [SM] * 4, "quad-dagger", tolerance=0.0)
+    assert abs(quad - (np.sqrt(17) - 1) / 8) <= 1e-12
+
+
+# Two-term states each condition detects with |0><1| operators, written in a
+# random local basis; the operators are rank-one perturbations of |e0><e1|
+# (nonzero trace) and the state gets a random admixture.
+DETECTED = {
+    "bi1": ((0, 1), (1, 0)),
+    "bi2": ((0, 0), (1, 1)),
+    "tri-product": ((0, 0, 0), (1, 1, 1)),
+    "tri-dagger": ((0, 1, 1), (1, 0, 0)),
+    "quad-dagger": ((0, 1, 1, 1), (1, 0, 0, 0)),
+}
+
+
+def _perturbed_detected_case(condition, seed):
+    rng = np.random.default_rng(seed)
+    occupations = DETECTED[condition]
+    n = len(occupations[0])
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    delta, eta = rng.uniform(0.0, 0.35, size=2)
+    bases = [np.linalg.qr(gauss(2, 2))[0] for _ in range(n)]
+    ops = [
+        np.outer(e[:, 0] + delta * gauss(2), (e[:, 1] + delta * gauss(2)).conj()) for e in bases
+    ]
+    amps = sum(
+        c * np.exp(2j * np.pi * rng.random())
+        * reduce(np.kron, [bases[k][:, o] for k, o in enumerate(occ)])
+        for c, occ in zip((0.8, 0.6), occupations)
+    )
+    amps = amps / np.linalg.norm(amps) + eta * gauss(2**n) / 2 ** (n / 2)
+    return PureState((2,) * n, amps / np.linalg.norm(amps)), ops
+
+
+@pytest.mark.parametrize("condition", sorted(DETECTED))
+def test_white_noise_family_agrees_with_density_path(condition):
+    grid = np.linspace(0.0, 1.0, 201)
+    found = 0
+    for seed in range(6):
+        psi, ops = _perturbed_detected_case(condition, seed)
+        for tol in (0.0, 0.02):
+            curve = noise_margin_curve(psi, ops, condition, grid, tolerance=tol)
+            dense = [
+                evaluate_condition(condition, white_noise_mix(psi, s), ops, tolerance=tol)
+                for s in grid
+            ]
+            for fast, ref in zip(curve, dense):
+                assert [label for label, _ in fast.rhs_terms] == [
+                    label for label, _ in ref.rhs_terms
+                ]
+                values = [fast.lhs - ref.lhs, fast.margin - ref.margin, fast.rhs_sum - ref.rhs_sum]
+                values += [a - b for (_, a), (_, b) in zip(fast.rhs_terms, ref.rhs_terms)]
+                assert max(abs(v) for v in values) <= 1e-12
+                assert fast.violated == ref.violated or abs(ref.margin - tol) <= 1e-12
+            violated = np.array([r.violated for r in dense])
+            thr = noise_threshold(psi, ops, condition, tolerance=tol)
+            assert (thr is None) == (not violated.any())
+            if thr is None:
+                continue
+            found += 1
+            assert not violated[grid < thr - 1e-7].any()
+            above = evaluate_condition(
+                condition, white_noise_mix(psi, min(thr + 1e-7, 1.0)), ops, tolerance=tol
+            )
+            assert above.violated
+            assert noise_margin_curve(psi, ops, condition, [thr], tolerance=tol)[0].violated
+    assert found >= 4
+
+
+def test_noise_threshold_on_non_monotone_margins():
+    # Detected cases whose margin falls somewhere along s: no longer refused,
+    # since the verdict stays monotone where the margin is not.
+    grid = np.linspace(0.0, 1.0, 201)
+    checked = 0
+    for condition in DETECTED:
+        for seed in range(6):
+            psi, ops = _perturbed_detected_case(condition, seed)
+            margins = [r.margin for r in noise_margin_curve(psi, ops, condition, grid)]
+            thr = noise_threshold(psi, ops, condition)
+            if thr is None or not np.any(np.diff(margins) < -1e-6):
+                continue
+            checked += 1
+            for s, want in ((thr + 1e-7, True), (thr - 1e-7, False)):
+                report = evaluate_condition(condition, white_noise_mix(psi, s), ops)
+                assert report.violated == want
+    assert checked >= 1
+
+
+def test_noise_functions_build_no_density_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a density matrix was built")
+
+    monkeypatch.setattr(witness_module, "white_noise_mix", refuse)
+    monkeypatch.setattr(states_module, "white_noise_mix", refuse)
+    monkeypatch.setattr(states_module.DensityMatrix, "__post_init__", refuse)
+    for condition in DETECTED:
+        psi, ops = _perturbed_detected_case(condition, 0)
+        assert len(noise_margin_curve(psi, ops, condition, np.linspace(0, 1, 11))) == 11
+        noise_threshold(psi, ops, condition)
+
+
+@pytest.mark.parametrize("s", [1.5, -0.1, float("nan"), float("inf")])
+def test_noise_margin_curve_rejects_weights_outside_unit_interval(s):
+    with pytest.raises(ValidationError):
+        noise_margin_curve(psi2(), [SM] * 3, "tri-dagger", [0.5, s])
+
+
+def test_scan_noise_grid_past_one_is_an_input_error(tmp_path, capsys):
+    from gmekit.cli import main
+
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({
+        "dims": [2, 2, 2],
+        "kind": "pure",
+        "terms": [{"occupation": [0, 1, 1], "re": 1.0}, {"occupation": [1, 0, 0], "re": 1.0}],
+    }))
+    argv = ["scan-noise", "--state", str(path), "--ops", "sigma_minus", "sigma_minus",
+            "sigma_minus", "--condition", "tri-dagger", "--s-stop", "1.5"]
+    assert main(argv) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("condition", sorted(DETECTED))
+def test_noise_functions_check_every_positive_expectation(condition, monkeypatch):
+    psi, ops = _perturbed_detected_case(condition, 1)
+    real = witness_module._positive
+
+    def checked(run):
+        seen = []
+
+        def spy(value, tolerance, what):
+            seen.append((what, value))
+            return real(value, tolerance, what)
+
+        monkeypatch.setattr(witness_module, "_positive", spy)
+        run()
+        monkeypatch.setattr(witness_module, "_positive", real)
+        return seen
+
+    on_psi = checked(lambda: evaluate_condition(condition, psi, ops))
+    assert len(on_psi) == {"bi1": 1, "bi2": 2, "tri-dagger": 3, "tri-product": 6}.get(condition, 7)
+    assert checked(lambda: noise_margin_curve(psi, ops, condition, [0.2, 0.9])) == on_psi
+    assert checked(lambda: noise_threshold(psi, ops, condition)) == on_psi
+
+
 # --- expectation kernel -------------------------------------------------------
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 2, 2, 3), (2, 2, 2, 2, 2)])
 def test_expect_factors_matches_bruteforce_oracles(dims):
+    def _expect_factors(state, factors):
+        return _expectation(state)[1](factors)
+
     rng = np.random.default_rng(len(dims))
     factors = [random_matrix(rng, d, d) for d in dims]  # non-hermitian
     psi = random_pure_state(rng, dims)
