@@ -27,22 +27,15 @@ from .exceptions import (
     ValidationError,
 )
 from .linalg import (
-    adjoint,
     basis_index,
     basis_vector,
-    expectation,
     hermitian_evolve,
-    kron,
     kron_all,
-    matmul,
-    trace,
 )
 from .operators import (
     block_ops,
     block_sum,
     boson_annihilation,
-    compose,
-    embed,
     ketbra,
     parse_operator_specs,
     qutrit_lower,
@@ -93,7 +86,6 @@ __all__ = [
     "ToolkitError",
     "ValidationError",
     "WitnessReport",
-    "adjoint",
     "all_bipartitions",
     "basis_index",
     "basis_vector",
@@ -103,21 +95,16 @@ __all__ = [
     "block_sum",
     "block_witness",
     "boson_annihilation",
-    "compose",
     "condition_arity",
     "downconv_witness",
-    "embed",
     "evaluate_condition",
     "even_pair_sum",
     "evolve",
-    "expectation",
     "haar_random_state",
     "hermitian_evolve",
     "ketbra",
-    "kron",
     "kron_all",
     "load_state",
-    "matmul",
     "noise_margin_curve",
     "noise_threshold",
     "optimize",
@@ -133,7 +120,6 @@ __all__ = [
     "sweep_rows",
     "time_series",
     "to_pure_state",
-    "trace",
     "tripartite_dagger",
     "tripartite_product",
     "white_noise_mix",

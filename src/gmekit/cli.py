@@ -26,7 +26,7 @@ from . import downconv as dc
 from .exceptions import ToolkitError
 from .linalg import kron_all
 from .operators import parse_operator_specs
-from .search import optimize
+from .search import SEARCH_CONDITIONS, optimize
 from .states import (
     PureState,
     all_bipartitions,
@@ -36,7 +36,8 @@ from .states import (
 )
 from .witness import (
     CONDITION_NAMES,
-    DEFAULT_TOLERANCE,
+    _fmt,
+    _resolve_tolerance,
     condition_arity,
     evaluate_condition,
     noise_margin_curve,
@@ -49,20 +50,14 @@ EXIT_INPUT_ERROR = 2
 EXIT_VIOLATION = 10
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _resolve_tolerance(value: float | None) -> float:
-    if value is not None:
-        return float(value)
+def _tolerance(value: float | None) -> float:
     env = os.environ.get("GME_TOLERANCE")
-    if env is not None:
+    if value is None and env is not None:
         try:
-            return float(env)
+            value = float(env)
         except ValueError as exc:
             raise ToolkitError(f"GME_TOLERANCE={env!r} is not a number") from exc
-    return DEFAULT_TOLERANCE
+    return _resolve_tolerance(value)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -77,14 +72,14 @@ def _ops_for_state(args, state) -> list[np.ndarray]:
     return parse_operator_specs(args.ops, state.dims, args.dagger)
 
 
-def _time_grid(start: float, stop: float, step: float) -> np.ndarray:
-    if step <= 0 or stop < start:
-        raise ToolkitError("need t-step > 0 and t-stop >= t-start")
+def _grid(name: str, start: float, stop: float, step: float) -> np.ndarray:
+    if not (step > 0 and stop >= start):
+        raise ToolkitError(f"need {name}-step > 0 and {name}-stop >= {name}-start")
     return np.arange(start, stop + 0.5 * step, step)
 
 
 def _cmd_evaluate(args) -> int:
-    tol = _resolve_tolerance(args.tolerance)
+    tol = _tolerance(args.tolerance)
     state = load_state(args.state)
     ops = _ops_for_state(args, state)
     if args.condition in ("bi1", "bi2"):
@@ -97,10 +92,6 @@ def _cmd_evaluate(args) -> int:
         right = kron_all(ops[split:])
         report = evaluate_condition(args.condition, state, [left, right], tol, blocks=blocks)
     else:
-        if len(ops) != condition_arity(args.condition):
-            raise ToolkitError(
-                f"condition {args.condition!r} needs {condition_arity(args.condition)} operators"
-            )
         report = evaluate_condition(args.condition, state, ops, tol)
     text = report.to_json() + "\n"
     print(text, end="")
@@ -110,14 +101,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_scan_noise(args) -> int:
-    tol = _resolve_tolerance(args.tolerance)
+    tol = _tolerance(args.tolerance)
     state = load_state(args.state)
     if not isinstance(state, PureState):
         raise ToolkitError("scan-noise requires a pure state file (kind 'pure')")
     ops = _ops_for_state(args, state)
-    if condition_arity(args.condition) != len(ops):
-        raise ToolkitError(f"condition {args.condition!r} does not take one operator per subsystem")
-    s_grid = np.arange(args.s_start, args.s_stop + 0.5 * args.s_step, args.s_step)
+    s_grid = _grid("s", args.s_start, args.s_stop, args.s_step)
     reports = noise_margin_curve(state, ops, args.condition, s_grid, tolerance=tol)
     if args.out:
         lines = ["s,lhs,rhs_max,rhs_sum,margin,violated"]
@@ -129,7 +118,7 @@ def _cmd_scan_noise(args) -> int:
 
 
 def _cmd_downconv(args) -> int:
-    tol = _resolve_tolerance(args.tolerance)
+    tol = _tolerance(args.tolerance)
     params = dc.DownConversionParams(
         pump_photons=args.N,
         omega1=args.omega1,
@@ -137,7 +126,7 @@ def _cmd_downconv(args) -> int:
         omega3=args.omega3,
         coupling=args.g,
     )
-    times = _time_grid(args.t_start, args.t_stop, args.t_step)
+    times = _grid("t", args.t_start, args.t_stop, args.t_step)
     header, rows = dc.sweep_rows(params, times, tolerance=tol)
     lines = [",".join(header)]
     any_violation = False
@@ -151,7 +140,7 @@ def _cmd_downconv(args) -> int:
 
 
 def _cmd_soundness(args) -> int:
-    tol = _resolve_tolerance(args.tolerance)
+    tol = _tolerance(args.tolerance)
     if args.trials < 1:
         raise ToolkitError(f"--trials must be >= 1, got {args.trials}")
     dims = tuple(args.dims)
@@ -194,7 +183,7 @@ def _cmd_soundness(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    tol = _resolve_tolerance(args.tolerance)
+    tol = _tolerance(args.tolerance)
     state = load_state(args.state)
     result = optimize(
         state,
@@ -280,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="search rank-one operators for the best margin")
     add_common(p_opt, ops=False)
     p_opt.add_argument("--state", required=True)
-    p_opt.add_argument(
-        "--condition", required=True, choices=("tri-product", "tri-dagger", "quad-dagger")
-    )
+    p_opt.add_argument("--condition", required=True, choices=SEARCH_CONDITIONS)
     p_opt.add_argument("--restarts", type=int, default=8)
     p_opt.add_argument("--budget", type=int, default=400)
     p_opt.add_argument("--seed", type=int, default=0)

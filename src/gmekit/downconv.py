@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ShapeError, ValidationError
-from .linalg import basis_index, hermitian_evolve
+from .linalg import basis_index
 from .operators import block_ops, block_sum
 from .states import PureState
 from .witness import WitnessReport, tripartite_dagger
@@ -93,12 +93,7 @@ def subspace_hamiltonian(params: DownConversionParams) -> np.ndarray:
 
 def evolve(params: DownConversionParams, t: float) -> SubspaceAmplitudes:
     """Sector amplitudes at time t, starting from |N, 0, 0>."""
-    if not np.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t!r}")
-    e0 = np.zeros(params.pump_photons + 1, dtype=complex)
-    e0[0] = 1.0
-    c = hermitian_evolve(subspace_hamiltonian(params), float(t), e0)
-    return SubspaceAmplitudes(params.pump_photons, float(t), c)
+    return next(time_series(params, [t]))
 
 
 def time_series(

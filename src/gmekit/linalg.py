@@ -35,11 +35,6 @@ def _as_square(a) -> np.ndarray:
     return m
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor product of two matrices, subsystem-1-major ordering."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
 def kron_all(factors: Sequence) -> np.ndarray:
     """Tensor product of a sequence of matrices, left to right."""
     out = _as_matrix(factors[0])
@@ -49,34 +44,6 @@ def kron_all(factors: Sequence) -> np.ndarray:
         # Same entries as np.kron, without its per-call reshaping overhead.
         out = (out[:, None, :, None] * f[None, :, None, :]).reshape(r * p, c * q)
     return out
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T.copy()
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    return complex(np.trace(_as_square(a)))
-
-
-def expectation(rho, obs) -> complex:
-    """Tr(obs @ rho) for a square state rho and observable obs of equal size."""
-    rho = _as_square(rho)
-    obs = _as_square(obs)
-    if rho.shape != obs.shape:
-        raise ShapeError(f"state shape {rho.shape} != observable shape {obs.shape}")
-    return complex(np.trace(obs @ rho))
 
 
 def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:

@@ -1,4 +1,4 @@
-"""Single-subsystem operator builders and tensor assembly.
+"""Single-subsystem operator builders and operator spec strings.
 
 Operators are plain complex ndarrays.  The builders here cover the operator
 families the entanglement conditions are typically evaluated with: basis
@@ -13,8 +13,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .exceptions import ShapeError, ValidationError
-from .linalg import _as_square, kron_all
+from .exceptions import ValidationError
+# Unused here; callers look kron_all up in this module's namespace.
+from .linalg import kron_all  # noqa: F401
 
 __all__ = [
     "ketbra",
@@ -24,8 +25,6 @@ __all__ = [
     "boson_annihilation",
     "block_ops",
     "block_sum",
-    "compose",
-    "embed",
     "parse_operator_specs",
 ]
 
@@ -104,64 +103,6 @@ def block_sum(n_pump: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for acc, op in zip(total, block_ops(n_pump, n)):
             acc += op
     return tuple(total)
-
-
-def compose(
-    dims: Sequence[int],
-    factors: Sequence,
-    dagger_mask: Sequence[bool] | None = None,
-) -> np.ndarray:
-    """Tensor product of one operator per subsystem, adjointing masked factors.
-
-    ``dagger_mask[k]`` True means factor k enters as its adjoint.  The default
-    mask is all False.
-    """
-    dims = tuple(int(d) for d in dims)
-    if len(factors) != len(dims):
-        raise ShapeError(f"{len(factors)} factors for {len(dims)} subsystems")
-    if dagger_mask is None:
-        dagger_mask = (False,) * len(dims)
-    if len(dagger_mask) != len(dims):
-        raise ShapeError("dagger_mask length does not match subsystem count")
-    mats = []
-    for k, (factor, dag) in enumerate(zip(factors, dagger_mask)):
-        m = _as_square(factor)
-        if m.shape[0] != dims[k]:
-            raise ShapeError(
-                f"factor {k} has dimension {m.shape[0]}, subsystem has {dims[k]}"
-            )
-        mats.append(m.conj().T if dag else m)
-    return kron_all(mats)
-
-
-def embed(dims: Sequence[int], block: Sequence[int], op) -> np.ndarray:
-    """Embed an operator acting on a subsystem block into the full space.
-
-    ``block`` lists the subsystems the operator acts on, strictly increasing;
-    the operator's tensor layout must match that order.  Identity acts on the
-    complement.
-    """
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    block = tuple(int(i) for i in block)
-    if len(block) == 0 or any(not 0 <= i < n for i in block):
-        raise ValidationError(f"block {block} is not a valid subsystem subset")
-    if any(b >= a for a, b in zip(block[1:], block)):
-        raise ValidationError(f"block {block} must be strictly increasing")
-    op = _as_square(op)
-    d_block = int(np.prod([dims[i] for i in block]))
-    if op.shape[0] != d_block:
-        raise ShapeError(f"operator dimension {op.shape[0]} != block dimension {d_block}")
-    rest = [i for i in range(n) if i not in block]
-    d_rest = int(np.prod([dims[i] for i in rest], dtype=int))
-    full = np.kron(op, np.eye(d_rest, dtype=complex))
-    order = list(block) + rest
-    axis_dims = [dims[i] for i in order]
-    perm = list(np.argsort(order))
-    full = full.reshape(axis_dims + axis_dims)
-    full = full.transpose(perm + [p + n for p in perm])
-    total = int(np.prod(dims))
-    return full.reshape(total, total)
 
 
 # Per-subsystem operator spec strings, used by the CLI and state sweeps:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .states import DensityMatrix, PureState
-from .witness import WitnessReport, evaluate_condition
+from .witness import WitnessReport, condition_arity, evaluate_condition
 
 State = PureState | DensityMatrix
 
@@ -111,10 +111,6 @@ class OptimizationResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _params_per_vector(dim: int) -> int:
-    return 2 * (dim - 1)
-
-
 def _unpack(x: np.ndarray, dims: tuple[int, ...]) -> RankOneParams:
     vectors = []
     pos = 0
@@ -180,7 +176,7 @@ def optimize(
         raise ValidationError(
             f"condition {condition!r} not searchable; choose from {SEARCH_CONDITIONS}"
         )
-    n_ops = 3 if condition.startswith("tri") else 4
+    n_ops = condition_arity(condition)
     if len(state.dims) != n_ops:
         raise ValidationError(
             f"condition {condition!r} needs {n_ops} subsystems, state has {len(state.dims)}"

@@ -25,10 +25,19 @@ With A, B, C acting on subsystems a, b, c (dagger written as †):
                       (⟨B†B⟩⟨A†A C†C⟩)^1/2,   # b|ac
                       (⟨C†C⟩⟨A†A B†B⟩)^1/2 )  # c|ab
 
-The quadripartite dagger form bounds |⟨A†BCD⟩| by the maximum over the
-seven bipartitions of four subsystems.  In every term A enters as A†A; an
-operator X in A's block enters reversed as XX†, and one in the opposite
-block enters as X†X (e.g. the ab|cd term is ⟨A†A BB† C†C D†D⟩^1/2).
+Each form is one rule applied once per bipartition, which also gives the
+quadripartite dagger form (seven terms bounding |⟨A†BCD⟩|) and the
+bipartite conditions (two parties, one operator per block):
+
+  dagger rule   A enters as A†A; an operator X in A's block enters
+                reversed as XX†, and one in the opposite block as X†X, all
+                in one expectation (the ab|cd term is ⟨A†A BB† C†C D†D⟩^1/2)
+  product rule  (⟨∏ X†X over the block⟩ ⟨∏ X†X over the rest⟩)^1/2
+
+Terms are labelled block|rest in ``states.all_bipartitions`` order; the
+bipartite label is the given blocks'.  tri-dagger is the exception: it
+names the complement first and lists the bipartitions in reverse order
+(ab|c, ac|b, bc|a).
 
 For hermitian operators each bound reduces to a Cauchy-Schwarz inequality
 that holds for every density matrix, so detection power requires
@@ -44,15 +53,17 @@ import json
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from operator import itemgetter
 
 import numpy as np
 
 from .exceptions import NumericalConsistencyError, ShapeError, ValidationError
 from .linalg import _as_square, kron_all
+from .states import DensityMatrix, PureState, _check_weight, all_bipartitions
 # white_noise_mix is unused here but stays part of this module's namespace,
 # where callers look it up.
-from .states import DensityMatrix, PureState, _check_weight, white_noise_mix  # noqa: F401
+from .states import white_noise_mix  # noqa: F401
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -117,8 +128,8 @@ class WitnessReport:
 
 def _resolve_tolerance(tolerance: float | None) -> float:
     tol = DEFAULT_TOLERANCE if tolerance is None else float(tolerance)
-    if tol < 0:
-        raise ValidationError(f"tolerance must be nonnegative, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol}")
     return tol
 
 
@@ -139,8 +150,6 @@ def _build_report(lhs: float, terms: Sequence[tuple[str, float]], tolerance: flo
 
 
 def _check_factors(dims: Sequence[int], ops: Sequence) -> list[np.ndarray]:
-    if len(ops) != len(dims):
-        raise ShapeError(f"{len(ops)} operators for {len(dims)} subsystems")
     mats = []
     for k, op in enumerate(ops):
         m = _as_square(op)
@@ -233,78 +242,102 @@ def _check_blocks(
     return left, right
 
 
-# --- condition terms ------------------------------------------------------------
+# --- condition rules ------------------------------------------------------------
 #
-# Each function below returns the factor list of the lhs correlation and,
-# per rhs label, the factor lists of the positive expectations whose product
-# is that term squared.
+# A rule maps the left block of a bipartition to the forms the operators X
+# take in the lhs correlation and, for that bipartition's rhs term, in the
+# factor lists of the positive expectations whose product is the term
+# squared.  Each condition is compiled once, at import, into the (party,
+# form) matrices a call makes and getters of its factor lists from them.
 
-
-def _bi_dagger_terms(l, m, label):
-    ld, md = l.conj().T, m.conj().T
-    return [ld, m], [(label, [[ld @ l, md @ m]])]
-
-
-def _bi_product_terms(l, m, label):
-    ll, mm = l.conj().T @ l, m.conj().T @ m
-    il, im = np.eye(l.shape[0], dtype=complex), np.eye(m.shape[0], dtype=complex)
-    return [l, m], [(label, [[ll, im], [il, mm]])]
-
-
-def _tri_dagger_terms(a, b, c):
-    ad, bd, cd = a.conj().T, b.conj().T, c.conj().T
-    aa = ad @ a
-    return [ad, b, c], [
-        ("ab|c", [[aa, b @ bd, cd @ c]]),
-        ("ac|b", [[aa, bd @ b, c @ cd]]),
-        ("bc|a", [[aa, bd @ b, cd @ c]]),
-    ]
-
-
-def _tri_product_terms(a, b, c):
-    ia, ib, ic = (np.eye(m.shape[0], dtype=complex) for m in (a, b, c))
-    aa, bb, cc = a.conj().T @ a, b.conj().T @ b, c.conj().T @ c
-    return [a, b, c], [
-        ("a|bc", [[aa, ib, ic], [ia, bb, cc]]),
-        ("b|ac", [[ia, bb, ic], [aa, ib, cc]]),
-        ("c|ab", [[ia, ib, cc], [aa, bb, ic]]),
-    ]
-
-
-def _quad_dagger_terms(a, b, c, d):
-    ad, bd, cd, dd = (m.conj().T for m in (a, b, c, d))
-    aa = ad @ a
-    return [ad, b, c, d], [
-        ("a|bcd", [[aa, bd @ b, cd @ c, dd @ d]]),
-        ("b|acd", [[aa, bd @ b, c @ cd, d @ dd]]),
-        ("c|abd", [[aa, b @ bd, cd @ c, d @ dd]]),
-        ("d|abc", [[aa, b @ bd, c @ cd, dd @ d]]),
-        ("ab|cd", [[aa, b @ bd, cd @ c, dd @ d]]),
-        ("ac|bd", [[aa, bd @ b, c @ cd, dd @ d]]),
-        ("ad|bc", [[aa, bd @ b, cd @ c, d @ dd]]),
-    ]
-
-
-_MULTIPARTITE_TERMS = {
-    "tri-product": _tri_product_terms,
-    "tri-dagger": _tri_dagger_terms,
-    "quad-dagger": _quad_dagger_terms,
+# How a call makes each form other than X and X†.
+_FORMS = {
+    "X†X": lambda x, xd: xd @ x,
+    "XX†": lambda x, xd: x @ xd,
+    "I": lambda x, xd: _eye(x.shape[0]),
 }
 
 
+@cache
+def _eye(dim: int) -> np.ndarray:
+    eye = np.eye(dim, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
+def _dagger_terms(n: int, left: Sequence[int]):
+    """The dagger rule of the module docstring; A is party 0."""
+    rest = ["XX†" if (k in left) == (0 in left) else "X†X" for k in range(1, n)]
+    return ["X†"] + ["X"] * (n - 1), [["X†X"] + rest]
+
+
+def _product_terms(n: int, left: Sequence[int]):
+    """The product rule of the module docstring."""
+    groups = [["X†X" if (k in left) == side else "I" for k in range(n)] for side in (True, False)]
+    return ["X"] * n, groups
+
+
+def _compile(evaluator: str, n: int, rule, labels: Sequence[str]):
+    """(evaluator name, arity, labels, the (party, form) products a call
+    makes, lhs getter, per-label tuples of rhs getters).  The getters index
+    the operators, then their adjoints, then the products."""
+    slots = {(k % n, "X" if k < n else "X†"): k for k in range(2 * n)}
+
+    def getter(forms) -> itemgetter:
+        return itemgetter(*(slots.setdefault(key, len(slots)) for key in enumerate(forms)))
+
+    terms = [rule(n, [_LETTERS.index(c) for c in label.split("|")[0]]) for label in labels]
+    lhs = getter(terms[0][0])
+    rhs = tuple(tuple(map(getter, groups)) for _, groups in terms)
+    return evaluator, n, tuple(labels), tuple(slots)[2 * n :], lhs, rhs
+
+
+_BLOCK_LABELS = {n: [_block_label(b, n) for b in all_bipartitions(n)] for n in (2, 3, 4)}
+
+_CONDITIONS = {
+    "bi1": _compile("bipartite_dagger", 2, _dagger_terms, _BLOCK_LABELS[2]),
+    "bi2": _compile("bipartite_product", 2, _product_terms, _BLOCK_LABELS[2]),
+    "tri-product": _compile("tripartite_product", 3, _product_terms, _BLOCK_LABELS[3]),
+    # Complement first, in reverse order: the exception to block labels.
+    "tri-dagger": _compile("tripartite_dagger", 3, _dagger_terms, ["ab|c", "ac|b", "bc|a"]),
+    "quad-dagger": _compile("quadripartite_dagger", 4, _dagger_terms, _BLOCK_LABELS[4]),
+}
+
+CONDITION_NAMES = tuple(_CONDITIONS)
+
+
+def _lookup(name: str, ops: Sequence | None = None):
+    """The named condition's table entry; with ``ops``, checked to be one
+    per slot."""
+    if name not in _CONDITIONS:
+        raise ValidationError(f"unknown condition {name!r}; choose from {CONDITION_NAMES}")
+    entry = _CONDITIONS[name]
+    if ops is not None and len(ops) != entry[1]:
+        raise ValidationError(f"condition {name!r} takes {entry[1]} operators, got {len(ops)}")
+    return entry
+
+
+def condition_arity(name: str) -> int:
+    """Number of operator slots the named condition takes."""
+    return _lookup(name)[1]
+
+
 def _prepare(name: str, state: State, ops: Sequence, blocks=None):
-    """expect() on the state, and the lhs and rhs factor lists of the named
-    condition for the given operators."""
+    """expect() on the state, and the lhs factor list and labelled rhs
+    factor lists of the named condition for the given operators."""
+    _, arity, labels, products, lhs, rhs = _lookup(name, ops)
     n = len(state.dims)
-    if name in ("bi1", "bi2"):
-        left, right = _check_blocks(state, blocks)
-        dims, expect = _expectation(state, (left, right))
-        build = _bi_dagger_terms if name == "bi1" else _bi_product_terms
-        return (expect, *build(*_check_factors(dims, ops), _block_label(left, n)))
-    if n != _ARITY[name]:
-        raise ShapeError(f"condition {name!r} needs {_ARITY[name]} subsystems, got {n}")
-    dims, expect = _expectation(state)
-    return (expect, *_MULTIPARTITE_TERMS[name](*_check_factors(dims, ops)))
+    if arity == 2:
+        blocks = _check_blocks(state, blocks)
+        labels = (_block_label(blocks[0], n),)
+    elif n != arity:
+        raise ShapeError(f"condition {name!r} needs {arity} subsystems, got {n}")
+    dims, expect = _expectation(state, blocks)
+    xs = _check_factors(dims, ops)
+    xds = [x.conj().T for x in xs]
+    mats = [*xs, *xds] + [_FORMS[form](xs[k], xds[k]) for k, form in products]
+    terms = [(label, [get(mats) for get in groups]) for label, groups in zip(labels, rhs)]
+    return expect, lhs(mats), terms
 
 
 def _evaluate(name: str, state: State, ops: Sequence, tolerance, blocks=None) -> WitnessReport:
@@ -379,29 +412,6 @@ def quadripartite_dagger(
     return _evaluate("quad-dagger", state, (op_a, op_b, op_c, op_d), tolerance)
 
 
-# --- condition registry -------------------------------------------------------
-
-CONDITION_NAMES = ("bi1", "bi2", "tri-product", "tri-dagger", "quad-dagger")
-
-_ARITY = {"bi1": 2, "bi2": 2, "tri-product": 3, "tri-dagger": 3, "quad-dagger": 4}
-
-
-def condition_arity(name: str) -> int:
-    """Number of operator slots the named condition takes."""
-    try:
-        return _ARITY[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown condition {name!r}; choose from {CONDITION_NAMES}"
-        ) from None
-
-
-def _check_arity(name: str, ops: Sequence) -> None:
-    arity = condition_arity(name)
-    if len(ops) != arity:
-        raise ValidationError(f"condition {name!r} takes {arity} operators, got {len(ops)}")
-
-
 def evaluate_condition(
     name: str,
     state: State,
@@ -414,16 +424,12 @@ def evaluate_condition(
     ``bi1``/``bi2`` take (L, M) plus optional ``blocks``; the multipartite
     conditions take one operator per subsystem.
     """
-    _check_arity(name, ops)
-    if name == "bi1":
-        return bipartite_dagger(state, ops[0], ops[1], blocks=blocks, tolerance=tolerance)
-    if name == "bi2":
-        return bipartite_product(state, ops[0], ops[1], blocks=blocks, tolerance=tolerance)
-    if name == "tri-product":
-        return tripartite_product(state, *ops, tolerance=tolerance)
-    if name == "tri-dagger":
-        return tripartite_dagger(state, *ops, tolerance=tolerance)
-    return quadripartite_dagger(state, *ops, tolerance=tolerance)
+    evaluator, arity, *_ = _lookup(name, ops)
+    # Looked up as a module attribute, so a replaced evaluator sees the call.
+    evaluate = globals()[evaluator]
+    if arity == 2:
+        return evaluate(state, *ops, blocks=blocks, tolerance=tolerance)
+    return evaluate(state, *ops, tolerance=tolerance)
 
 
 # --- white-noise family -------------------------------------------------------
@@ -442,7 +448,6 @@ def _white_noise(
     one evaluation on psi fixes the condition for every s.  Reports equal
     those of the density path on ``white_noise_mix(psi, s)`` up to roundoff.
     """
-    _check_arity(condition, ops)
     tol = _resolve_tolerance(tolerance)
     expect, lhs_factors, rhs = _prepare(condition, psi, ops)
 

@@ -5,6 +5,9 @@ index tuples, so it shares no code with the factor-wise contraction and the
 Kronecker-product trace it is used to check.
 """
 
+import itertools
+from functools import reduce
+
 import numpy as np
 
 
@@ -101,3 +104,63 @@ def bipartite_bruteforce(data, dims, left, right, op_l, op_m):
     e_m = max(expect(il, md @ op_m).real, 0.0)
     bi2 = (abs(expect(op_l, op_m)), np.sqrt(e_l * e_m))
     return bi1, bi2
+
+
+# --- n-party conditions from the bipartition rule -------------------------------
+#
+# Written from the witness module docstring, with explicit np.kron composites:
+# one rhs term per bipartition, keyed by the bipartition as a frozenset of its
+# two blocks.  Dagger form: A (party 0) enters as A†A, an operator in A's
+# block as XX†, one in the opposite block as X†X.  Product form:
+# ⟨∏ X†X over one block⟩·⟨∏ X†X over the other⟩.
+
+
+def _full_expect(data, factors) -> complex:
+    full = reduce(np.kron, factors)
+    if np.ndim(data) == 1:
+        return complex(np.vdot(data, full @ data))
+    return complex(np.trace(full @ data))
+
+
+def _blocks_with_a(n):
+    """A's block of every bipartition of n parties: party 0 plus others."""
+    for size in range(n - 1):
+        for others in itertools.combinations(range(1, n), size):
+            yield {0, *others}
+
+
+def _bipartition(block, n):
+    return frozenset({frozenset(block), frozenset(set(range(n)) - set(block))})
+
+
+def dagger_oracle(data, ops):
+    """(lhs, {bipartition: term}) of the n-party dagger form."""
+    n = len(ops)
+    dag = [m.conj().T for m in ops]
+    lhs = abs(_full_expect(data, [dag[0], *ops[1:]]))
+    terms = {}
+    for own in _blocks_with_a(n):
+        factors = [dag[0] @ ops[0]] + [
+            ops[k] @ dag[k] if k in own else dag[k] @ ops[k] for k in range(1, n)
+        ]
+        terms[_bipartition(own, n)] = np.sqrt(max(_full_expect(data, factors).real, 0.0))
+    return lhs, terms
+
+
+def product_oracle(data, ops):
+    """(lhs, {bipartition: term}) of the n-party product form."""
+    n = len(ops)
+    eye = [np.eye(m.shape[0]) for m in ops]
+    sq = [m.conj().T @ m for m in ops]
+    lhs = abs(_full_expect(data, ops))
+    terms = {}
+    for block in _blocks_with_a(n):
+        inside = _full_expect(data, [sq[k] if k in block else eye[k] for k in range(n)])
+        outside = _full_expect(data, [eye[k] if k in block else sq[k] for k in range(n)])
+        terms[_bipartition(block, n)] = np.sqrt(max(inside.real, 0.0) * max(outside.real, 0.0))
+    return lhs, terms
+
+
+def label_bipartition(label):
+    """The bipartition a report label such as 'ab|cd' names."""
+    return frozenset(frozenset("abcdefgh".index(c) for c in side) for side in label.split("|"))

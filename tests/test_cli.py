@@ -145,6 +145,35 @@ def test_env_tolerance_override(state_file, capsys, monkeypatch):
     capsys.readouterr()
 
 
+FLIP_EVAL = ["--ops", "sigma_minus", "sigma_minus", "sigma_minus", "--condition", "tri-dagger"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_evaluate_rejects_non_finite_tolerance_flag(state_file, capsys, value):
+    argv = ["evaluate", "--state", state_file(PSI2_DOC), *FLIP_EVAL]
+    assert main(argv + ["--tolerance", "0.1"]) == 10
+    assert main(argv + ["--tolerance", value]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_evaluate_rejects_non_finite_env_tolerance(state_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("GME_TOLERANCE", value)
+    assert main(["evaluate", "--state", state_file(PSI2_DOC), *FLIP_EVAL]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid", [["--s-step", "0"], ["--s-step", "-0.1"], ["--s-start", "0.5", "--s-stop", "0.2"]]
+)
+def test_scan_noise_rejects_bad_grid(state_file, tmp_path, capsys, grid):
+    out = tmp_path / "scan.csv"
+    argv = ["scan-noise", "--state", state_file(PSI2_DOC), *FLIP_EVAL, "--out", str(out)]
+    assert main(argv + grid) == 2
+    assert not out.exists()
+    assert "s-step > 0" in capsys.readouterr().err
+
+
 def test_scan_noise_threshold_and_csv(state_file, tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code, doc = run_json(

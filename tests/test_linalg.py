@@ -4,19 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmekit import (
-    ShapeError,
+    DensityMatrix,
     ValidationError,
-    adjoint,
     basis_index,
     basis_vector,
-    expectation,
     hermitian_evolve,
-    kron,
     kron_all,
-    matmul,
+    qutrit_lower,
     sigma_minus,
-    trace,
 )
+from gmekit.witness import _expectation
 from helpers import random_hermitian, random_matrix
 
 SM = sigma_minus()
@@ -24,13 +21,13 @@ SP = SM.conj().T
 
 
 def test_kron_identity_cases():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+    np.testing.assert_array_equal(kron_all([np.eye(2), np.eye(2)]), np.eye(4))
     m = random_matrix(np.random.default_rng(0), 3, 2)
-    np.testing.assert_array_equal(kron(np.array([[1.0]]), m), m)
+    np.testing.assert_array_equal(kron_all([np.array([[1.0]]), m]), m)
 
 
 def test_kron_sigma_minus_pair():
-    out = kron(SM, SM)
+    out = kron_all([SM, SM])
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3] = 1.0  # |00><11|
     np.testing.assert_array_equal(out, expected)
@@ -59,65 +56,29 @@ def test_kron_associative(seed):
     a = random_matrix(rng, sizes[0], sizes[1])
     b = random_matrix(rng, sizes[2], sizes[3])
     c = random_matrix(rng, sizes[4], sizes[5])
-    left = kron(kron(a, b), c)
-    right = kron(a, kron(b, c))
+    left = kron_all([kron_all([a, b]), c])
+    right = kron_all([a, kron_all([b, c])])
     assert np.max(np.abs(left - right)) <= 1e-14
 
 
-def test_adjoint_definitions():
-    np.testing.assert_array_equal(adjoint(SM), SP)
-    np.testing.assert_array_equal(adjoint(np.eye(3)), np.eye(3))
-    lower = np.zeros((3, 3), dtype=complex)
-    lower[0, 1] = lower[1, 2] = 1.0
-    raised = np.zeros((3, 3), dtype=complex)
-    raised[1, 0] = raised[2, 1] = 1.0
-    np.testing.assert_array_equal(adjoint(lower), raised)
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=50, deadline=None)
-def test_adjoint_involution_and_trace_cyclicity(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 5))
-    a = random_matrix(rng, n, n)
-    b = random_matrix(rng, n, n)
-    np.testing.assert_array_equal(adjoint(adjoint(a)), a)
-    assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) <= 1e-12
-
-
 def test_matmul_ladder_algebra():
-    np.testing.assert_array_equal(matmul(SM, SP), np.diag([1.0, 0.0]).astype(complex))
-    np.testing.assert_array_equal(matmul(SP, SM), np.diag([0.0, 1.0]).astype(complex))
-    lower = np.zeros((3, 3), dtype=complex)
-    lower[0, 1] = lower[1, 2] = 1.0
+    np.testing.assert_array_equal(SM @ SP, np.diag([1.0, 0.0]).astype(complex))
+    np.testing.assert_array_equal(SP @ SM, np.diag([0.0, 1.0]).astype(complex))
+    lower = qutrit_lower()
     np.testing.assert_array_equal(
-        matmul(adjoint(lower), lower), np.diag([0.0, 1.0, 1.0]).astype(complex)
+        lower.conj().T @ lower, np.diag([0.0, 1.0, 1.0]).astype(complex)
     )
 
 
-def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
-        matmul(np.eye(2), np.eye(3))
-
-
-def test_trace_cases():
-    assert trace(np.eye(4)) == 4
-    assert trace(SM) == 0
-    proj = np.zeros((8, 8), dtype=complex)
-    proj[5, 5] = 1.0  # |101><101|
-    assert trace(proj) == 1
-    with pytest.raises(ShapeError):
-        trace(np.ones((2, 3)))
-
-
 def test_expectation_cases():
+    # The factor-wise kernel on a density matrix: Tr((F1 x F2 x ...) rho).
     d = 4
-    assert expectation(np.eye(d) / d, np.eye(d)) == pytest.approx(1.0)
-    proj = np.zeros((8, 8), dtype=complex)
-    proj[7, 7] = 1.0
-    assert expectation(proj, proj) == pytest.approx(1.0)
-    with pytest.raises(ShapeError):
-        expectation(np.eye(2), np.eye(4))
+    _, expect = _expectation(DensityMatrix((2, 2), np.eye(d) / d))
+    assert expect([np.eye(2), np.eye(2)]) == pytest.approx(1.0)
+    proj = np.diag([0.0, 1.0]).astype(complex)
+    _, expect = _expectation(DensityMatrix((2, 2, 2), kron_all([proj] * 3)))
+    assert expect([proj] * 3) == pytest.approx(1.0)
+    assert expect([np.eye(2), np.eye(2), np.eye(2) - proj]) == pytest.approx(0.0)
 
 
 def test_expectation_white_noise_orthogonal_projector():
@@ -126,9 +87,9 @@ def test_expectation_white_noise_orthogonal_projector():
     psi = superposition((2, 2, 2), [(1, (0, 1, 1)), (1, (1, 0, 0))])
     s = 0.37
     rho = white_noise_mix(psi, s)
-    proj = np.zeros((8, 8), dtype=complex)
-    proj[2, 2] = 1.0  # |010>, orthogonal to psi
-    assert expectation(rho.matrix, proj).real == pytest.approx((1 - s) / 8, abs=1e-14)
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    _, expect = _expectation(rho)  # |010><010|, orthogonal to psi
+    assert expect([p0, p1, p0]).real == pytest.approx((1 - s) / 8, abs=1e-14)
 
 
 def test_evolve_time_zero_and_diagonal_phase():

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
+import gmekit
+import gmekit.operators
 from gmekit import (
-    ShapeError,
     ValidationError,
-    adjoint,
     basis_vector,
     block_ops,
     block_sum,
     boson_annihilation,
-    compose,
-    embed,
     ketbra,
+    kron_all,
     parse_operator_specs,
     qutrit_lower,
     qutrit_raise,
@@ -20,6 +19,16 @@ from gmekit import (
 from helpers import random_matrix
 
 QUTRIT_DIMS = (3, 3, 3)
+
+
+def adjoint(m):
+    return m.conj().T
+
+
+def test_public_names_resolve():
+    for module in (gmekit, gmekit.operators):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing: {missing}"
 
 
 def test_ketbra_values_and_errors():
@@ -41,8 +50,7 @@ def test_qutrit_ladders():
 
 def test_qutrit_composite_chain():
     # raising on a and b, lowering on c: |002> -> |111> -> |220>
-    op = compose(QUTRIT_DIMS, (qutrit_lower(), qutrit_raise(), qutrit_lower()),
-                 (True, False, False))
+    op = kron_all([adjoint(qutrit_lower()), qutrit_raise(), qutrit_lower()])
     np.testing.assert_array_equal(
         op @ basis_vector(QUTRIT_DIMS, (0, 0, 2)), basis_vector(QUTRIT_DIMS, (1, 1, 1))
     )
@@ -64,8 +72,7 @@ QUTRIT_MAP = {
 
 
 def test_qutrit_composite_full_mapping_table():
-    op = compose(QUTRIT_DIMS, (qutrit_lower(), qutrit_raise(), qutrit_lower()),
-                 (True, False, False))
+    op = kron_all([adjoint(qutrit_lower()), qutrit_raise(), qutrit_lower()])
     mapped = dict(QUTRIT_MAP)
     for occ in np.ndindex(*QUTRIT_DIMS):
         out = op @ basis_vector(QUTRIT_DIMS, occ)
@@ -96,7 +103,7 @@ def test_block_ops_mapping():
     n_pump, n = 4, 2
     dims = (5, 5, 5)
     ops = block_ops(n_pump, n)
-    composite = compose(dims, ops, (True, False, False))  # A† B C
+    composite = kron_all([adjoint(ops[0]), ops[1], ops[2]])  # A† B C
     src = basis_vector(dims, (n_pump - n - 1, n + 1, n + 1))
     dst = basis_vector(dims, (n_pump - n, n, n))
     np.testing.assert_array_equal(composite @ src, dst)
@@ -124,15 +131,12 @@ def test_compose_examples():
     dims = (2, 2, 2)
     sm = sigma_minus()
     # |0><1|, |1><0|, |0><1| with the first factor daggered gives |110><001|
-    op = compose(dims, (ketbra(2, 0, 1), ketbra(2, 1, 0), ketbra(2, 0, 1)),
-                 (True, False, False))
+    op = kron_all([adjoint(ketbra(2, 0, 1)), ketbra(2, 1, 0), ketbra(2, 0, 1)])
     expected = np.zeros((8, 8), dtype=complex)
     expected[6, 1] = 1.0
     np.testing.assert_array_equal(op, expected)
-    np.testing.assert_array_equal(
-        compose(dims, (np.eye(2),) * 3), np.eye(8)
-    )
-    op2 = compose(dims, (sm, sm, sm), (True, False, False))
+    np.testing.assert_array_equal(kron_all([np.eye(2)] * 3), np.eye(8))
+    op2 = kron_all([adjoint(sm), sm, sm])
     np.testing.assert_array_equal(op2 @ basis_vector(dims, (0, 1, 1)),
                                   basis_vector(dims, (1, 0, 0)))
     assert np.count_nonzero(op2) == 1
@@ -149,7 +153,7 @@ def test_compose_rhs_projectors_for_qubit_choice():
     }
     for occ, factors in cases.items():
         proj = np.outer(basis_vector(dims, occ), basis_vector(dims, occ).conj())
-        np.testing.assert_array_equal(compose(dims, factors), proj)
+        np.testing.assert_array_equal(kron_all(factors), proj)
 
 
 def test_compose_adjoint_consistency():
@@ -157,50 +161,10 @@ def test_compose_adjoint_consistency():
     dims = (2, 3, 2)
     factors = [random_matrix(rng, d, d) for d in dims]
     mask = (True, False, True)
-    negated = tuple(not m for m in mask)
-    lhs = adjoint(compose(dims, factors, mask))
-    via_negated_mask = compose(dims, factors, negated)
-    via_adjointed_factors = compose(dims, [adjoint(f) for f in factors], mask)
-    assert np.max(np.abs(lhs - via_negated_mask)) <= 1e-14
-    assert np.max(np.abs(lhs - via_adjointed_factors)) <= 1e-14
-
-
-def test_compose_errors():
-    with pytest.raises(ShapeError):
-        compose((2, 2), (np.eye(2),))
-    with pytest.raises(ShapeError):
-        compose((2, 2), (np.eye(2), np.eye(3)))
-    with pytest.raises(ShapeError):
-        compose((2, 2), (np.eye(2), np.eye(2)), (True,))
-
-
-def test_embed_matches_kron_layouts():
-    sm = sigma_minus()
-    np.testing.assert_array_equal(
-        embed((2, 2, 2), (1,), sm), np.kron(np.eye(2), np.kron(sm, np.eye(2)))
-    )
-    rng = np.random.default_rng(3)
-    op = random_matrix(rng, 4, 4)
-    dims = (2, 3, 2)
-    full = embed(dims, (0, 2), op)
-    # Element-wise oracle: <i'j'k'|full|ijk> = op[(i',k'),(i,k)] * delta_{j'j}
-    for bra in np.ndindex(*dims):
-        for ket in np.ndindex(*dims):
-            row = (bra[0] * 3 + bra[1]) * 2 + bra[2]
-            col = (ket[0] * 3 + ket[1]) * 2 + ket[2]
-            want = 0.0
-            if bra[1] == ket[1]:
-                want = op[bra[0] * 2 + bra[2], ket[0] * 2 + ket[2]]
-            assert full[row, col] == pytest.approx(want, abs=1e-15)
-
-
-def test_embed_errors():
-    with pytest.raises(ValidationError):
-        embed((2, 2), (), np.eye(1))
-    with pytest.raises(ValidationError):
-        embed((2, 2), (1, 0), np.eye(4))
-    with pytest.raises(ShapeError):
-        embed((2, 2), (0,), np.eye(4))
+    masked = [adjoint(f) if m else f for f, m in zip(factors, mask)]
+    negated = [f if m else adjoint(f) for f, m in zip(factors, mask)]
+    lhs = adjoint(kron_all(masked))
+    assert np.max(np.abs(lhs - kron_all(negated))) <= 1e-14
 
 
 def test_parse_operator_specs():

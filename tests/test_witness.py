@@ -41,6 +41,9 @@ from helpers import (
 )
 from oracles import (
     bipartite_bruteforce,
+    dagger_oracle,
+    label_bipartition,
+    product_oracle,
     product_expectation_bruteforce,
     product_expectation_density_bruteforce,
 )
@@ -179,6 +182,63 @@ def test_tri_dagger_psi2_always_fires():
         assert report.rhs_max == 0.0
         assert report.lhs == pytest.approx(abs(c[0] * c[1]), abs=1e-14)
         assert report.violated
+
+
+CONDITION_LABELS = {
+    "bi1": ["a|b"],
+    "bi2": ["a|b"],
+    "tri-product": ["a|bc", "b|ac", "c|ab"],
+    "tri-dagger": ["ab|c", "ac|b", "bc|a"],
+    "quad-dagger": ["a|bcd", "b|acd", "c|abd", "d|abc", "ab|cd", "ac|bd", "ad|bc"],
+}
+
+
+def test_every_condition_pins_its_labels_and_order():
+    rng = np.random.default_rng(2)
+    for name, labels in CONDITION_LABELS.items():
+        dims = (2,) * len(labels[0].replace("|", ""))
+        ops = [random_matrix(rng, 2, 2) for _ in dims]
+        report = evaluate_condition(name, random_pure_state(rng, dims), ops)
+        assert [label for label, _ in report.rhs_terms] == labels, name
+    psi = random_pure_state(rng, (2, 3, 2))
+    for blocks, label in [(((0, 2), (1,)), "ac|b"), (((1,), (0, 2)), "b|ac"), (None, "a|bc")]:
+        left, right = blocks or ((0,), (1, 2))
+        ops = [random_matrix(rng, *[math.prod((2, 3, 2)[i] for i in b)] * 2) for b in (left, right)]
+        for name in ("bi1", "bi2"):
+            report = evaluate_condition(name, psi, ops, blocks=blocks)
+            assert [lbl for lbl, _ in report.rhs_terms] == [label]
+
+
+@pytest.mark.parametrize(
+    "condition, dims, split",
+    [
+        ("bi1", (2, 3), 1),
+        ("bi1", (2, 3, 2), 2),
+        ("bi2", (3, 2), 1),
+        ("bi2", (2, 3, 2), 1),
+        ("tri-product", (2, 3, 2), None),
+        ("tri-dagger", (3, 2, 2), None),
+        ("quad-dagger", (2, 2, 3, 2), None),
+    ],
+)
+def test_conditions_match_bipartition_rule_oracles(condition, dims, split):
+    # bi1/bi2 with the contiguous blocks (first `split` subsystems | rest)
+    # are the two-party rule on L x M.
+    rng = np.random.default_rng(sum(dims) + len(condition))
+    parties = list(dims) if split is None else [math.prod(dims[:split]), math.prod(dims[split:])]
+    blocks = None if split is None else (tuple(range(split)), tuple(range(split, len(dims))))
+    oracle = product_oracle if condition in ("bi2", "tri-product") else dagger_oracle
+    for _ in range(5):
+        ops = [random_matrix(rng, d, d) for d in parties]  # non-hermitian
+        for state in (random_pure_state(rng, dims), random_density_matrix(rng, dims)):
+            data = state.amplitudes if isinstance(state, PureState) else state.matrix
+            lhs, terms = oracle(data, ops)
+            report = evaluate_condition(condition, state, ops, blocks=blocks)
+            assert abs(report.lhs - lhs) <= 1e-12
+            assert len(report.rhs_terms) == len(terms)
+            for label, value in report.rhs_terms:
+                key = label_bipartition("a|b") if split else label_bipartition(label)
+                assert abs(value - terms[key]) <= 1e-12
 
 
 def test_tri_dagger_rhs_labels():
@@ -365,6 +425,17 @@ def test_condition_validation_errors():
         tripartite_dagger(psi, SM, SM, SM, tolerance=-1.0)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_tolerance_is_rejected(tolerance):
+    psi, ops = psi2(), [SM, SM, SM]
+    with pytest.raises(ValidationError):
+        evaluate_condition("tri-dagger", psi, ops, tolerance=tolerance)
+    with pytest.raises(ValidationError):
+        noise_threshold(psi, ops, "tri-dagger", tolerance=tolerance)
+    with pytest.raises(ValidationError):
+        noise_margin_curve(psi, ops, "tri-dagger", [0.5], tolerance=tolerance)
+
+
 def test_noise_threshold_bisection():
     thr = noise_threshold(psi2(), [SM, SM, SM], "tri-dagger")
     assert thr == pytest.approx(0.5, abs=1e-9)
@@ -542,6 +613,30 @@ def test_noise_functions_check_every_positive_expectation(condition, monkeypatch
 
 
 # --- expectation kernel -------------------------------------------------------
+
+
+def test_block_expectation_matches_kron_layouts():
+    # Block order: a block operator acts on its subsystems in the order the
+    # block lists them, with identity on the other block.
+    rng = np.random.default_rng(3)
+    psi = random_pure_state(rng, (2, 2, 2))
+    _, expect = _expectation(psi, ((1,), (0, 2)))
+    full = np.kron(np.eye(2), np.kron(SM, np.eye(2)))
+    assert abs(expect([SM, np.eye(4)]) - np.vdot(psi.amplitudes, full @ psi.amplitudes)) <= 1e-14
+    op = random_matrix(rng, 4, 4)
+    dims = (2, 3, 2)
+    # Element-wise: <i'j'k'|full|ijk> = op[(i',k'),(i,k)] * delta_{j'j}
+    full = np.zeros((12, 12), dtype=complex)
+    for bra in np.ndindex(*dims):
+        for ket in np.ndindex(*dims):
+            if bra[1] == ket[1]:
+                row = (bra[0] * 3 + bra[1]) * 2 + bra[2]
+                col = (ket[0] * 3 + ket[1]) * 2 + ket[2]
+                full[row, col] = op[bra[0] * 2 + bra[2], ket[0] * 2 + ket[2]]
+    for state in (random_pure_state(rng, dims), random_density_matrix(rng, dims)):
+        rho = state.density_matrix().matrix if isinstance(state, PureState) else state.matrix
+        _, expect = _expectation(state, ((0, 2), (1,)))
+        assert abs(expect([op, np.eye(3)]) - np.trace(full @ rho)) <= 1e-13
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 2, 2, 3), (2, 2, 2, 2, 2)])
