@@ -3,13 +3,17 @@
 States carry their subsystem dimensions explicitly, since every condition in
 :mod:`gmekit.witness` is defined relative to a tensor factorisation.  Pure
 states are unit vectors; density matrices are hermitian, unit-trace and
-positive semidefinite, and all three invariants are checked at construction.
+positive semidefinite.  A matrix given by the caller has all three
+invariants checked at construction.  The constructors here build mixtures
+sum_j w_j|psi_j><psi_j| + mu*I/D, which hold them by construction, so they
+check only the weights and the components (see :class:`DensityMatrix`).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -73,19 +77,32 @@ class PureState:
         return self.amplitudes.reshape(self.dims)
 
     def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix._mixture(self.dims, [1.0], self.amplitudes[None])
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Density matrix on subsystems of the given dimensions.
 
-    Construction checks hermiticity (1e-10 entrywise), unit trace (1e-10)
-    and positivity (smallest eigenvalue >= -1e-10).
+    ``DensityMatrix(dims, matrix)`` checks hermiticity (1e-10 entrywise),
+    unit trace (1e-10) and positivity (smallest eigenvalue >= -1e-10, an
+    O(D^3) ``eigvalsh``).
+
+    :func:`white_noise_mix`, :func:`random_biseparable`,
+    :meth:`PureState.density_matrix` and the state-file kinds ``white_noise``
+    and ``mixture`` build sum_j w_j|psi_j><psi_j| + mu*I/D instead, which is
+    hermitian and positive by construction.  They check only w >= 0,
+    mu >= 0, unit-norm psi_j and sum(w) + mu = 1, and keep the rows
+    sqrt(w_j)*psi_j and mu for :mod:`gmekit.witness`, which then forms no
+    D x D operator.
     """
 
     dims: tuple[int, ...]
     matrix: np.ndarray = field(repr=False)
+    # sqrt(w_j)*psi_j, one row per component, and mu; None and 0 for a
+    # matrix given by the caller.
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _noise: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
@@ -102,6 +119,33 @@ class DensityMatrix:
             raise ValidationError("density matrix has an eigenvalue below -1e-10")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", _frozen_array(mat))
+
+    @classmethod
+    def _mixture(cls, dims, weights, components, noise: float = 0.0) -> "DensityMatrix":
+        """sum_j weights[j] |components[j]><components[j]| + noise * I/D."""
+        dims = _check_dims(dims)
+        total = int(np.prod(dims))
+        w = np.asarray(weights, dtype=float)
+        psis = np.asarray(components, dtype=complex)
+        noise = float(noise)
+        if psis.shape != (w.size, total) or w.ndim != 1:
+            raise ShapeError(f"weights {w.shape} and components {psis.shape} do not match {dims}")
+        if not (np.isfinite(w).all() and np.isfinite(psis).all() and math.isfinite(noise)):
+            raise ValidationError("mixture weights and components must be finite")
+        if (w < 0).any() or noise < 0:
+            raise ValidationError("mixture weights must be nonnegative")
+        if (np.abs(np.linalg.norm(psis, axis=1) - 1.0) > NORM_ATOL).any():
+            raise ValidationError(f"mixture components must have unit norm within {NORM_ATOL}")
+        if abs(w.sum() + noise - 1.0) > DENSITY_ATOL:
+            raise ValidationError(f"mixture weights sum to {w.sum() + noise!r}, not 1 within 1e-10")
+        rows = _frozen_array(np.sqrt(w)[:, None] * psis)
+        mat = rows.T @ rows.conj()
+        mat[np.diag_indices(total)] += noise / total
+        mat.setflags(write=False)
+        state = object.__new__(cls)
+        for name, value in {"dims": dims, "matrix": mat, "_rows": rows, "_noise": noise}.items():
+            object.__setattr__(state, name, value)
+        return state
 
     @property
     def dim(self) -> int:
@@ -155,10 +199,7 @@ def white_noise_mix(psi: PureState, s: float) -> DensityMatrix:
     four).  s=1 gives the pure projector, s=0 the maximally mixed state.
     """
     s = _check_weight(s)
-    d = psi.dim
-    mat = s * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    mat += (1.0 - s) / d * np.eye(d)
-    return DensityMatrix(psi.dims, mat)
+    return DensityMatrix._mixture(psi.dims, [s], psi.amplitudes[None], 1.0 - s)
 
 
 def haar_random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -238,12 +279,8 @@ def random_biseparable(
     rng = np.random.default_rng(seed)
     weights = -np.log(rng.uniform(size=int(mixture_size)))
     weights /= weights.sum()
-    total = int(np.prod(dims))
-    rho = np.zeros((total, total), dtype=complex)
-    for j, w in enumerate(weights):
-        psi = _product_across(dims, blocks[j % len(blocks)], rng)
-        rho += w * np.outer(psi, psi.conj())
-    return DensityMatrix(dims, rho)
+    components = [_product_across(dims, blocks[j % len(blocks)], rng) for j in range(weights.size)]
+    return DensityMatrix._mixture(dims, weights, components)
 
 
 # --- JSON state-file format -------------------------------------------------
@@ -298,15 +335,11 @@ def state_from_dict(doc: dict) -> PureState | DensityMatrix:
             if w < 0:
                 raise ValidationError("mixture weights must be nonnegative")
             weights.append(w)
-            pures.append(superposition(dims, _terms_from_doc(comp.get("terms"))))
+            pures.append(superposition(dims, _terms_from_doc(comp.get("terms"))).amplitudes)
         total_w = sum(weights)
         if total_w <= 0:
             raise ValidationError("mixture weights must not all be zero")
-        d = pures[0].dim
-        rho = np.zeros((d, d), dtype=complex)
-        for w, p in zip(weights, pures):
-            rho += (w / total_w) * np.outer(p.amplitudes, p.amplitudes.conj())
-        return DensityMatrix(dims, rho)
+        return DensityMatrix._mixture(dims, np.divide(weights, total_w), pures)
     raise ValidationError(f"unknown state kind {kind!r}")
 
 

@@ -159,17 +159,28 @@ def _check_factors(dims: Sequence[int], ops: Sequence) -> list[np.ndarray]:
     return mats
 
 
-def _expect_pure(amplitudes: np.ndarray, dims: Sequence[int], factors) -> complex:
-    # Apply each factor to its own axis of the amplitude tensor, then take
-    # one inner product: O(D * sum(d)) work, and the D x D composite
+def _expect_rows(rows: np.ndarray, dims: Sequence[int], factors) -> complex:
+    # sum_j <r_j|F|r_j> over the rows of an (r, D) array.  Each factor is
+    # applied to its own axis of the amplitude tensors, then one inner
+    # product is taken: O(r * D * sum(d)) work, and the D x D composite
     # operator is never formed.
-    out = amplitudes
-    pre, post = 1, amplitudes.size
+    out = rows
+    pre, post = rows.shape
     for f, d in zip(factors, dims):
         post //= d
         out = f @ out.reshape(pre, d, post)
         pre *= d
-    return complex(np.vdot(amplitudes, out))
+    return complex(np.vdot(rows, out))
+
+
+def _expect_mixed(factors, dim: int) -> complex:
+    """Tr(F)/D, the expectation on the maximally mixed state I/D; the trace
+    of a tensor product is the product of the factors' traces."""
+    return math.prod(complex(np.trace(f)) for f in factors) / dim
+
+
+def _expect_mixture(rows: np.ndarray, dims: Sequence[int], noise: float, factors) -> complex:
+    return _expect_rows(rows, dims, factors) + noise * _expect_mixed(factors, rows.shape[1])
 
 
 def _expect_density(matrix: np.ndarray, factors) -> complex:
@@ -186,19 +197,30 @@ def _expectation(
     The parties are the state's subsystems, or with ``blocks`` the two
     blocks, each taking its subsystems in the order listed: the state is
     permuted into block order, so a block operator is one factor and no
-    D x D embedding is formed.
+    D x D embedding is formed.  A pure state is one row, and a mixture
+    sum_j w_j|psi_j><psi_j| + mu*I/D built by :mod:`gmekit.states` is the
+    rows sqrt(w_j)*psi_j plus mu times Tr(F)/D; only a matrix given by the
+    caller is traced against the D x D product.
     """
-    pure = isinstance(state, PureState)
-    data = state.amplitudes if pure else state.matrix
+    if isinstance(state, PureState):
+        rows, noise = state.amplitudes[None], 0.0
+    else:
+        rows, noise = state._rows, state._noise
+    data = state.matrix if rows is None else rows
     dims = state.dims
     if blocks is not None:
         order = [*blocks[0], *blocks[1]]
-        axes = order if pure else order + [len(dims) + i for i in order]
-        data = data.reshape(dims if pure else dims * 2).transpose(axes).reshape(data.shape)
+        if rows is None:  # both indices of the matrix
+            shape, axes = dims * 2, order + [len(dims) + i for i in order]
+        else:
+            shape, axes = (-1, *dims), [0] + [1 + i for i in order]
+        data = data.reshape(shape).transpose(axes).reshape(data.shape)
         dims = tuple(math.prod(dims[i] for i in block) for block in blocks)
-    if pure:
-        return dims, partial(_expect_pure, data, dims)
-    return dims, partial(_expect_density, data)
+    if rows is None:
+        return dims, partial(_expect_density, data)
+    if noise:
+        return dims, partial(_expect_mixture, data, dims, noise)
+    return dims, partial(_expect_rows, data, dims)
 
 
 def _positive(value: complex, tolerance: float, what: str) -> float:
@@ -422,13 +444,16 @@ def evaluate_condition(
     """Evaluate a condition selected by name.
 
     ``bi1``/``bi2`` take (L, M) plus optional ``blocks``; the multipartite
-    conditions take one operator per subsystem.
+    conditions take one operator per subsystem and no ``blocks``
+    (ValidationError if given).
     """
     evaluator, arity, *_ = _lookup(name, ops)
     # Looked up as a module attribute, so a replaced evaluator sees the call.
     evaluate = globals()[evaluator]
     if arity == 2:
         return evaluate(state, *ops, blocks=blocks, tolerance=tolerance)
+    if blocks is not None:
+        raise ValidationError(f"condition {name!r} takes no blocks")
     return evaluate(state, *ops, tolerance=tolerance)
 
 
@@ -451,9 +476,7 @@ def _white_noise(
     tol = _resolve_tolerance(tolerance)
     expect, lhs_factors, rhs = _prepare(condition, psi, ops)
 
-    def noise(factors) -> complex:
-        return math.prod(complex(np.trace(f)) for f in factors) / psi.dim
-
+    noise = partial(_expect_mixed, dim=psi.dim)
     lhs_psi, lhs_noise = expect(lhs_factors), noise(lhs_factors)
     # Per rhs label, one (on psi, on noise) pair per positive expectation.
     pairs = [

@@ -164,3 +164,44 @@ def product_oracle(data, ops):
 def label_bipartition(label):
     """The bipartition a report label such as 'ab|cd' names."""
     return frozenset(frozenset("abcdefgh".index(c) for c in side) for side in label.split("|"))
+
+
+# --- mixtures rebuilt as explicit outer-product sums ----------------------------
+
+
+def mixture_matrix(weights, components, noise=0.0):
+    """sum_j w_j |psi_j><psi_j| + noise * I/D, one np.outer per component."""
+    d = len(components[0])
+    rho = noise / d * np.eye(d, dtype=complex)
+    for w, psi in zip(weights, components):
+        rho = rho + w * np.outer(psi, np.conj(psi))
+    return rho
+
+
+def random_biseparable_draws(dims, partitions, mixture_size, seed):
+    """(weights, components) that ``states.random_biseparable`` draws for an
+    integer seed: the weights first, then for each component a Haar vector
+    on its block and one on the rest, each real parts before imaginary.
+    Component amplitudes are filled in one basis tuple at a time."""
+    rng = np.random.default_rng(seed)
+    weights = -np.log(rng.uniform(size=mixture_size))
+    weights = weights / weights.sum()
+
+    def haar(d):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return z / np.linalg.norm(z)
+
+    components = []
+    for j in range(mixture_size):
+        block = sorted(partitions[j % len(partitions)])
+        rest = [i for i in range(len(dims)) if i not in block]
+        u = haar(int(np.prod([dims[i] for i in block])))
+        v = haar(int(np.prod([dims[i] for i in rest])))
+        psi = np.zeros(int(np.prod(dims)), dtype=complex)
+        for occ in np.ndindex(*dims):
+            psi[_flat(dims, occ)] = (
+                u[_flat([dims[i] for i in block], [occ[i] for i in block])]
+                * v[_flat([dims[i] for i in rest], [occ[i] for i in rest])]
+            )
+        components.append(psi)
+    return weights, components

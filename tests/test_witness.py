@@ -117,6 +117,16 @@ def test_bipartite_block_validation():
         bipartite_dagger(psi2(), np.eye(4), SM, blocks=((2, 0), (1,)))
 
 
+@pytest.mark.parametrize("name", ["tri-product", "tri-dagger", "quad-dagger"])
+def test_multipartite_conditions_reject_blocks(name):
+    n = 4 if name == "quad-dagger" else 3
+    psi = superposition((2,) * n, [(1, (0,) + (1,) * (n - 1)), (1, (1,) + (0,) * (n - 1))])
+    for blocks in (((1,), (0, 5)), ((0,), tuple(range(1, n)))):
+        with pytest.raises(ValidationError):
+            evaluate_condition(name, psi, [SM] * n, blocks=blocks)
+    assert evaluate_condition(name, psi, [SM] * n, blocks=None).rhs_terms
+
+
 @pytest.mark.parametrize(
     "dims, blocks",
     [
