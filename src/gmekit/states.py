@@ -16,6 +16,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -236,21 +237,20 @@ def _check_block(block: Sequence[int], n: int) -> tuple[int, ...]:
     return block
 
 
-def _product_across(
-    dims: tuple[int, ...], block: tuple[int, ...], rng: np.random.Generator
-) -> np.ndarray:
-    """Haar-random pure state, product across block|complement."""
-    rest = tuple(i for i in range(len(dims)) if i not in block)
-    d_block = int(np.prod([dims[i] for i in block]))
-    d_rest = int(np.prod([dims[i] for i in rest]))
-    v1 = haar_random_state(d_block, rng)
-    v2 = haar_random_state(d_rest, rng)
-    tensor = np.outer(v1, v2).reshape(
-        [dims[i] for i in block] + [dims[i] for i in rest]
-    )
-    # Undo the block-first axis layout so subsystems sit in natural order.
-    order = list(block) + list(rest)
-    return tensor.transpose(np.argsort(order)).reshape(-1)
+@lru_cache(maxsize=32)
+def _product_layout(dims: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]):
+    """Per block: for each basis amplitude of a product across block|rest,
+    the offsets of its u real, u imaginary, v real and v imaginary normals
+    within a component's draw; and that draw's size, 2 * (d_block + d_rest)."""
+    index = np.indices(dims).reshape(len(dims), -1)
+    gather, sizes = [], []
+    for block in blocks:
+        rest = tuple(i for i in range(len(dims)) if i not in block)
+        du, dv = (math.prod(dims[i] for i in part) for part in (block, rest))
+        u, v = (np.ravel_multi_index(index[list(p)], [dims[i] for i in p]) for p in (block, rest))
+        gather.append([u, u + du, v + 2 * du, v + 2 * du + dv])
+        sizes.append(2 * (du + dv))
+    return _frozen_array(gather, int), _frozen_array(sizes, int)
 
 
 def random_biseparable(
@@ -261,26 +261,34 @@ def random_biseparable(
 ) -> DensityMatrix:
     """Random convex mixture of bipartition-separable pure states.
 
-    Component j is a product of Haar-random pure states across
-    ``partitions[j % len(partitions)]`` (round robin), so passing
-    :func:`all_bipartitions` with ``mixture_size >= len(partitions)`` covers
-    every bipartition.  Mixture weights are exponential transforms of
-    uniform draws, normalised, which is the uniform distribution on the
-    simplex.  Output is deterministic given an integer seed; a Generator
-    may be passed instead to continue an existing stream.
+    Component j is u (x) v: Haar-random states u on the subsystems of
+    ``partitions[j % len(partitions)]`` (round robin, in increasing order)
+    and v on the rest, so :func:`all_bipartitions` with ``mixture_size >=
+    len(partitions)`` covers every bipartition.  The weights are normalised
+    exponentials of uniform draws, the uniform distribution on the simplex.
+
+    The draw order is a contract for seeds and Generators: one ``uniform``
+    per component, then one ``standard_normal`` call holding, component by
+    component, u's real parts, u's imaginary parts, v's real parts and v's
+    imaginary parts (:func:`haar_random_state`'s stream for u, then for v).
     """
     dims = _check_dims(dims)
-    n = len(dims)
     if int(mixture_size) < 1:
         raise ValidationError(f"mixture_size must be >= 1, got {mixture_size}")
-    blocks = [_check_block(p, n) for p in partitions]
+    blocks = tuple(_check_block(p, len(dims)) for p in partitions)
     if not blocks:
         raise ValidationError("need at least one bipartition")
     rng = np.random.default_rng(seed)
     weights = -np.log(rng.uniform(size=int(mixture_size)))
     weights /= weights.sum()
-    components = [_product_across(dims, blocks[j % len(blocks)], rng) for j in range(weights.size)]
-    return DensityMatrix._mixture(dims, weights, components)
+    gather, sizes = _product_layout(dims, blocks)
+    which = np.arange(weights.size) % len(blocks)
+    size = sizes[which]
+    starts = np.cumsum(size) - size
+    z = rng.standard_normal(int(size.sum()))[starts[:, None, None] + gather[which]]
+    psis = (z[:, 0] + 1j * z[:, 1]) * (z[:, 2] + 1j * z[:, 3])
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    return DensityMatrix._mixture(dims, weights, psis)
 
 
 # --- JSON state-file format -------------------------------------------------

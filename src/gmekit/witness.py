@@ -54,6 +54,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -159,18 +160,26 @@ def _check_factors(dims: Sequence[int], ops: Sequence) -> list[np.ndarray]:
     return mats
 
 
-def _expect_rows(rows: np.ndarray, dims: Sequence[int], factors) -> complex:
-    # sum_j <r_j|F|r_j> over the rows of an (r, D) array.  Each factor is
-    # applied to its own axis of the amplitude tensors, then one inner
-    # product is taken: O(r * D * sum(d)) work, and the D x D composite
-    # operator is never formed.
-    out = rows
-    pre, post = rows.shape
-    for f, d in zip(factors, dims):
-        post //= d
-        out = f @ out.reshape(pre, d, post)
-        pre *= d
-    return complex(np.vdot(rows, out))
+def _expect_rows(rows: np.ndarray, dims: Sequence[int], factor_lists) -> list[complex]:
+    # sum_j <r_j|F|r_j> over the rows of an (r, D) array for each factor list
+    # F: each factor acts on its own axis, then one inner product is taken,
+    # O(r * D * sum(d)) per list and no D x D operator.  Lists that begin with
+    # the same factor objects share the products of that prefix, short of the
+    # last factor, keyed by the prefix's ids, which are unique within one call.
+    partial_products = {}
+    values = []
+    for factors in factor_lists:
+        out, key = rows, ()
+        pre, post = rows.shape
+        for f, d in zip(factors[:-1], dims):
+            post //= d
+            key += (id(f),)
+            if key not in partial_products:
+                partial_products[key] = f @ out.reshape(pre, d, post)
+            out = partial_products[key]
+            pre *= d
+        values.append(complex(np.vdot(rows, factors[-1] @ out.reshape(pre, dims[-1], 1))))
+    return values
 
 
 def _expect_mixed(factors, dim: int) -> complex:
@@ -179,28 +188,30 @@ def _expect_mixed(factors, dim: int) -> complex:
     return math.prod(complex(np.trace(f)) for f in factors) / dim
 
 
-def _expect_mixture(rows: np.ndarray, dims: Sequence[int], noise: float, factors) -> complex:
-    return _expect_rows(rows, dims, factors) + noise * _expect_mixed(factors, rows.shape[1])
+def _expect_mixture(rows: np.ndarray, dims: Sequence[int], noise: float, lists) -> list[complex]:
+    values = _expect_rows(rows, dims, lists)
+    return [v + noise * _expect_mixed(f, rows.shape[1]) for v, f in zip(values, lists)]
 
 
-def _expect_density(matrix: np.ndarray, factors) -> complex:
+def _expect_density(matrix: np.ndarray, factor_lists) -> list[complex]:
     # Tr(F rho) as an elementwise sum, O(D^2) rather than the O(D^3) product.
-    return complex(np.einsum("ij,ji->", kron_all(factors), matrix))
+    return [complex(np.einsum("ij,ji->", kron_all(f), matrix)) for f in factor_lists]
 
 
 def _expectation(
     state: State, blocks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-) -> tuple[tuple[int, ...], Callable[[Sequence[np.ndarray]], complex]]:
-    """Party dimensions and expect(factors), the expectation of a tensor
-    product with one factor per party.
+) -> tuple[tuple[int, ...], Callable[[Sequence[Sequence[np.ndarray]]], list[complex]]]:
+    """Party dimensions and expect(factor_lists), the expectations of
+    tensor products with one factor per party, one value per list.
 
     The parties are the state's subsystems, or with ``blocks`` the two
     blocks, each taking its subsystems in the order listed: the state is
     permuted into block order, so a block operator is one factor and no
     D x D embedding is formed.  A pure state is one row, and a mixture
     sum_j w_j|psi_j><psi_j| + mu*I/D built by :mod:`gmekit.states` is the
-    rows sqrt(w_j)*psi_j plus mu times Tr(F)/D; only a matrix given by the
-    caller is traced against the D x D product.
+    rows sqrt(w_j)*psi_j plus mu times Tr(F)/D; lists share the products of
+    common leading factors.  Only a matrix given by the caller is traced
+    against the D x D product, one ``kron_all`` per list.
     """
     if isinstance(state, PureState):
         rows, noise = state.amplitudes[None], 0.0
@@ -345,8 +356,8 @@ def condition_arity(name: str) -> int:
 
 
 def _prepare(name: str, state: State, ops: Sequence, blocks=None):
-    """expect() on the state, and the lhs factor list and labelled rhs
-    factor lists of the named condition for the given operators."""
+    """expect() on the state; the named condition's factor lists for the
+    given operators, lhs first; and (label, number of lists) per rhs term."""
     _, arity, labels, products, lhs, rhs = _lookup(name, ops)
     n = len(state.dims)
     if arity == 2:
@@ -358,20 +369,21 @@ def _prepare(name: str, state: State, ops: Sequence, blocks=None):
     xs = _check_factors(dims, ops)
     xds = [x.conj().T for x in xs]
     mats = [*xs, *xds] + [_FORMS[form](xs[k], xds[k]) for k, form in products]
-    terms = [(label, [get(mats) for get in groups]) for label, groups in zip(labels, rhs)]
-    return expect, lhs(mats), terms
+    lists = [lhs(mats)] + [get(mats) for groups in rhs for get in groups]
+    return expect, lists, [(label, len(groups)) for label, groups in zip(labels, rhs)]
 
 
 def _evaluate(name: str, state: State, ops: Sequence, tolerance, blocks=None) -> WitnessReport:
     tol = _resolve_tolerance(tolerance)
-    expect, lhs_factors, rhs = _prepare(name, state, ops, blocks)
-    terms = []
-    for label, groups in rhs:
+    expect, lists, shape = _prepare(name, state, ops, blocks)
+    values = iter(expect(lists))
+    lhs, terms = next(values), []
+    for label, k in shape:
         square = 1.0
-        for factors in groups:
-            square *= _positive(expect(factors), tol, label)
+        for _ in range(k):
+            square *= _positive(next(values), tol, label)
         terms.append((label, math.sqrt(square)))
-    return _build_report(abs(expect(lhs_factors)), terms, tol)
+    return _build_report(abs(lhs), terms, tol)
 
 
 def bipartite_dagger(
@@ -474,14 +486,14 @@ def _white_noise(
     those of the density path on ``white_noise_mix(psi, s)`` up to roundoff.
     """
     tol = _resolve_tolerance(tolerance)
-    expect, lhs_factors, rhs = _prepare(condition, psi, ops)
-
-    noise = partial(_expect_mixed, dim=psi.dim)
-    lhs_psi, lhs_noise = expect(lhs_factors), noise(lhs_factors)
+    expect, lists, shape = _prepare(condition, psi, ops)
+    lhs_psi, *on_psi = expect(lists)
+    lhs_noise, *on_noise = [_expect_mixed(f, psi.dim) for f in lists]
     # Per rhs label, one (on psi, on noise) pair per positive expectation.
+    values = zip(on_psi, on_noise)
     pairs = [
-        (label, [(_positive(expect(f), tol, label), max(noise(f).real, 0.0)) for f in groups])
-        for label, groups in rhs
+        (label, [(_positive(x, tol, label), max(y.real, 0.0)) for x, y in islice(values, k)])
+        for label, k in shape
     ]
 
     def report(s: float) -> WitnessReport:

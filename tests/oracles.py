@@ -180,9 +180,10 @@ def mixture_matrix(weights, components, noise=0.0):
 
 def random_biseparable_draws(dims, partitions, mixture_size, seed):
     """(weights, components) that ``states.random_biseparable`` draws for an
-    integer seed: the weights first, then for each component a Haar vector
-    on its block and one on the rest, each real parts before imaginary.
-    Component amplitudes are filled in one basis tuple at a time."""
+    integer seed or a Generator, which it advances as the library does: the
+    weights first, then for each component a Haar vector on its block and
+    one on the rest, each real parts before imaginary.  Component amplitudes
+    are filled in one basis tuple at a time."""
     rng = np.random.default_rng(seed)
     weights = -np.log(rng.uniform(size=mixture_size))
     weights = weights / weights.sum()
@@ -205,3 +206,31 @@ def random_biseparable_draws(dims, partitions, mixture_size, seed):
             )
         components.append(psi)
     return weights, components
+
+
+# --- a biseparable family the max form calls violated ---------------------------
+
+
+def product_counterexample(n, x, y):
+    """Equal mixture over the bipartitions S|R of n qubits, S the block that
+    holds party a, of the product states
+    (sqrt(1-x)|0 1..1>_S + sqrt(x)|1 0..0>_S) (x) (sqrt(1-y)|1..1>_R + sqrt(y)|0..0>_R),
+    built with ``DensityMatrix._mixture``.  Returns the state, its
+    components and their (S, R) blocks; amplitudes are filled one basis
+    tuple at a time."""
+    from gmekit import DensityMatrix
+
+    blocks, components = [], []
+    for own in _blocks_with_a(n):
+        s_block, r_block = sorted(own), [k for k in range(n) if k not in own]
+        others = len(s_block) - 1
+        amp_s = {(0, *[1] * others): np.sqrt(1 - x), (1, *[0] * others): np.sqrt(x)}
+        amp_r = {(1,) * len(r_block): np.sqrt(1 - y), (0,) * len(r_block): np.sqrt(y)}
+        psi = np.zeros(2**n, dtype=complex)
+        for occ in itertools.product((0, 1), repeat=n):
+            s_occ, r_occ = tuple(occ[k] for k in s_block), tuple(occ[k] for k in r_block)
+            psi[_flat([2] * n, occ)] = amp_s.get(s_occ, 0.0) * amp_r.get(r_occ, 0.0)
+        blocks.append((s_block, r_block))
+        components.append(psi)
+    weights = [1.0 / len(components)] * len(components)
+    return DensityMatrix._mixture((2,) * n, weights, components), components, blocks

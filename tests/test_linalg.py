@@ -74,11 +74,11 @@ def test_expectation_cases():
     # The factor-wise kernel on a density matrix: Tr((F1 x F2 x ...) rho).
     d = 4
     _, expect = _expectation(DensityMatrix((2, 2), np.eye(d) / d))
-    assert expect([np.eye(2), np.eye(2)]) == pytest.approx(1.0)
+    assert expect([[np.eye(2), np.eye(2)]])[0] == pytest.approx(1.0)
     proj = np.diag([0.0, 1.0]).astype(complex)
     _, expect = _expectation(DensityMatrix((2, 2, 2), kron_all([proj] * 3)))
-    assert expect([proj] * 3) == pytest.approx(1.0)
-    assert expect([np.eye(2), np.eye(2), np.eye(2) - proj]) == pytest.approx(0.0)
+    assert expect([[proj] * 3])[0] == pytest.approx(1.0)
+    assert expect([[np.eye(2), np.eye(2), np.eye(2) - proj]])[0] == pytest.approx(0.0)
 
 
 def test_expectation_white_noise_orthogonal_projector():
@@ -89,7 +89,7 @@ def test_expectation_white_noise_orthogonal_projector():
     rho = white_noise_mix(psi, s)
     p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
     _, expect = _expectation(rho)  # |010><010|, orthogonal to psi
-    assert expect([p0, p1, p0]).real == pytest.approx((1 - s) / 8, abs=1e-14)
+    assert expect([[p0, p1, p0]])[0].real == pytest.approx((1 - s) / 8, abs=1e-14)
 
 
 def test_evolve_time_zero_and_diagonal_phase():

@@ -27,7 +27,7 @@ from gmekit import (
 )
 from gmekit.cli import main
 from helpers import random_matrix, random_pure_state
-from oracles import mixture_matrix, random_biseparable_draws
+from oracles import mixture_matrix, product_counterexample, random_biseparable_draws
 
 # Per party count: every condition, and the bi1/bi2 blocks to use.
 CASES = {
@@ -144,6 +144,31 @@ def test_random_biseparable_matches_outer_product_rebuild(dims):
         assert np.max(np.abs(state.matrix - mixture_matrix(weights, components))) <= 1e-12
 
 
+# Per dims: partitions unsorted and not canonical (the larger block, or an
+# even split without subsystem 0), alongside all_bipartitions.
+SAMPLER_PARTITIONS = {
+    (2, 2, 2): [[(2, 0)], [(1, 2)], [(2,), (0, 1)]],
+    (2, 3, 4): [[(2, 1)], [(0, 2), (1,)]],
+    (3, 3, 3, 3): [[(3, 1, 2)], [(2, 3), (1,)]],
+    (4, 4, 4, 4): [[(3, 0)], [(1, 2, 3), (0, 2)]],
+}
+
+
+@pytest.mark.parametrize("dims", list(SAMPLER_PARTITIONS))
+def test_random_biseparable_follows_the_generator_stream(dims):
+    # One Generator carried across calls, as gme soundness does, against the
+    # oracle's redraw from a twin Generator: same values, same final state.
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    for parts in [all_bipartitions(len(dims)), *SAMPLER_PARTITIONS[dims]]:
+        for size in sorted({1, len(parts), 2 * len(parts) + 1}):
+            state = random_biseparable(dims, parts, size, rng)
+            weights, components = random_biseparable_draws(dims, parts, size, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert np.max(np.abs(state.matrix - mixture_matrix(weights, components))) <= 1e-12
+            rows = np.sqrt(weights)[:, None] * np.array(components)
+            assert np.max(np.abs(state._rows - rows)) <= 1e-12
+
+
 # --- same reports as the full-validation density path -------------------------
 
 
@@ -245,3 +270,31 @@ def test_soundness_output_is_pinned(argv, max_margin):
     doc = json.loads(out.getvalue())
     assert abs(doc["max_margin"] - max_margin) <= 1e-12
     assert doc["violations"] == 0
+
+
+# --- the sum form on a biseparable family the max form calls violated ------
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_product_counterexample_family_is_biseparable(n):
+    for x, y in [(0.01, 0.9), (0.3, 0.6), (0.5, 0.5)]:
+        state, components, blocks = product_counterexample(n, x, y)
+        m = len(components)
+        assert m == len(all_bipartitions(n))
+        for psi, (own, rest) in zip(components, blocks):
+            # Amplitudes as a block x rest matrix: a product state has rank one.
+            t = psi.reshape((2,) * n).transpose(own + rest).reshape(2 ** len(own), -1)
+            u, sv, vh = np.linalg.svd(t)
+            assert np.max(np.abs(t - sv[0] * np.outer(u[:, 0], vh[0]))) <= 1e-12
+        assert np.max(np.abs(state.matrix - mixture_matrix([1 / m] * m, components))) <= 1e-12
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_sum_form_never_fires_on_the_product_counterexample_family(x, y):
+    # Biseparable by construction, so the sum form, which is sound, may not
+    # call it violated; no max-form value is asserted.
+    for n, conditions in ((3, ("tri-dagger", "tri-product")), (4, ("quad-dagger",))):
+        state = product_counterexample(n, x, y)[0]
+        for condition in conditions:
+            assert not evaluate_condition(condition, state, [sigma_minus()] * n).sum_violated

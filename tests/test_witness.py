@@ -41,6 +41,7 @@ from helpers import (
 )
 from oracles import (
     bipartite_bruteforce,
+    block_expectation_bruteforce,
     dagger_oracle,
     label_bipartition,
     product_oracle,
@@ -632,7 +633,8 @@ def test_block_expectation_matches_kron_layouts():
     psi = random_pure_state(rng, (2, 2, 2))
     _, expect = _expectation(psi, ((1,), (0, 2)))
     full = np.kron(np.eye(2), np.kron(SM, np.eye(2)))
-    assert abs(expect([SM, np.eye(4)]) - np.vdot(psi.amplitudes, full @ psi.amplitudes)) <= 1e-14
+    want = np.vdot(psi.amplitudes, full @ psi.amplitudes)
+    assert abs(expect([[SM, np.eye(4)]])[0] - want) <= 1e-14
     op = random_matrix(rng, 4, 4)
     dims = (2, 3, 2)
     # Element-wise: <i'j'k'|full|ijk> = op[(i',k'),(i,k)] * delta_{j'j}
@@ -646,13 +648,13 @@ def test_block_expectation_matches_kron_layouts():
     for state in (random_pure_state(rng, dims), random_density_matrix(rng, dims)):
         rho = state.density_matrix().matrix if isinstance(state, PureState) else state.matrix
         _, expect = _expectation(state, ((0, 2), (1,)))
-        assert abs(expect([op, np.eye(3)]) - np.trace(full @ rho)) <= 1e-13
+        assert abs(expect([[op, np.eye(3)]])[0] - np.trace(full @ rho)) <= 1e-13
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 2, 2, 3), (2, 2, 2, 2, 2)])
 def test_expect_factors_matches_bruteforce_oracles(dims):
     def _expect_factors(state, factors):
-        return _expectation(state)[1](factors)
+        return _expectation(state)[1]([factors])[0]
 
     rng = np.random.default_rng(len(dims))
     factors = [random_matrix(rng, d, d) for d in dims]  # non-hermitian
@@ -662,3 +664,44 @@ def test_expect_factors_matches_bruteforce_oracles(dims):
     rho = random_density_matrix(rng, dims)
     expected = product_expectation_density_bruteforce(rho.matrix, dims, factors)
     assert abs(_expect_factors(rho, factors) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "dims, blocks",
+    [((2, 3, 2), None), ((3, 3, 3, 3), None),
+     ((2, 3, 2), ((0, 2), (1,))), ((2, 2, 2, 2), ((1, 3), (0, 2)))],
+)
+def test_batched_kernel_shares_only_common_prefixes(dims, blocks):
+    # Lists that share a factor object at the same position (with and
+    # without a common prefix), the same object at different positions, and
+    # equal-valued but distinct objects.  Each state is evaluated in turn
+    # with the same factor objects, so nothing may carry over between calls.
+    rng = np.random.default_rng(sum(dims))
+    n = len(dims)
+    parts = all_bipartitions(n)
+    d = math.prod(dims)
+    states = [
+        random_pure_state(rng, dims),
+        states_module.DensityMatrix._mixture(
+            dims, [0.5, 0.3], [states_module.haar_random_state(d, rng) for _ in range(2)], 0.2),
+        random_biseparable(dims, parts, len(parts) + 1, rng),
+        random_density_matrix(rng, dims),
+    ]
+    parties = dims if blocks is None else [math.prod(dims[i] for i in b) for b in blocks]
+    a = [random_matrix(rng, p, p) for p in parties]
+    b = [random_matrix(rng, p, p) for p in parties]
+    copies = [m.copy() for m in a]
+    lists = [a, [*a[:-1], b[-1]], [b[0], *a[1:]], a, copies, [a[0], copies[1], *a[2:]], b]
+    if parties[0] == parties[-1]:
+        lists += [a[::-1], [a[-1], *a[1:-1], a[0]]]
+    for state in states:
+        _, expect = _expectation(state, blocks)
+        batched = expect(lists)
+        assert batched == [expect([f])[0] for f in lists]
+        rho = state.density_matrix().matrix if isinstance(state, PureState) else state.matrix
+        for factors, got in zip(lists, batched):
+            if blocks is None:
+                want = product_expectation_density_bruteforce(rho, dims, factors)
+            else:
+                want = block_expectation_bruteforce(rho, dims, *blocks, *factors)
+            assert abs(got - want) <= 1e-12
