@@ -2,10 +2,15 @@
 
 Every condition is evaluated with a free choice of one local operator per
 subsystem, and the hand-picked lowering operators are rarely optimal for an
-arbitrary state.  The search parameterises each operator as |u><v| with unit
-vectors u, v and maximises the violation margin by multi-start Nelder-Mead.
-Restart 0 always starts from the lowering-operator point, so the result is
-never worse than the standard choice.
+arbitrary state.  The search takes each operator as |u><v| with unit vectors
+u, v and updates one vector at a time to its closed-form best value for the
+ratio of the lhs to the root-sum-square of the rhs terms, keeping the best
+max-form margin it meets.  Restart 0 always starts from the lowering-operator
+point, so the result is never worse than the standard choice.
+
+The last lines run the search on the maximally mixed state only, where no
+operator choice gives a positive margin.  That is not a general soundness
+check: on other biseparable mixtures the max form can report a violation.
 """
 
 import numpy as np
@@ -32,7 +37,7 @@ print(f"hand-picked lowering operators: margin = {hand.margin:+.6f}, "
 result = optimize(rho, "tri-dagger", restarts=6, budget=500, seed=0)
 print(f"searched rank-one operators:    margin = {result.best_report.margin:+.6f}, "
       f"violated = {result.best_report.violated} "
-      f"({result.evaluations} objective evaluations)")
+      f"({result.evaluations} condition evaluations)")
 
 print()
 print("Best operators found (entries rounded):")
@@ -42,7 +47,7 @@ for k, op in enumerate(result.best_params.operators()):
         print(f"    [{row[0]:+.3f} {row[1]:+.3f}]")
 
 print()
-print("On a biseparable input the search cannot manufacture a violation:")
+print("On the maximally mixed state no operator choice gives a violation:")
 from gmekit import DensityMatrix
 
 mixed = DensityMatrix((2, 2, 2), np.eye(8) / 8)

@@ -3,8 +3,8 @@
 Sufficient conditions built from local, generally non-hermitian operators:
 violation certifies genuine multipartite entanglement, non-violation proves
 nothing.  Includes state and operator constructors, a down-conversion
-dynamics module on the conserved photon sector, and a derivative-free search
-over rank-one local operators.
+dynamics module on the conserved photon sector, and a closed-form alternating
+search over rank-one local operators.
 """
 
 from .downconv import (
@@ -26,12 +26,7 @@ from .exceptions import (
     ToolkitError,
     ValidationError,
 )
-from .linalg import (
-    basis_index,
-    basis_vector,
-    hermitian_evolve,
-    kron_all,
-)
+from .linalg import basis_index, kron_all
 from .operators import (
     block_ops,
     block_sum,
@@ -88,7 +83,6 @@ __all__ = [
     "WitnessReport",
     "all_bipartitions",
     "basis_index",
-    "basis_vector",
     "bipartite_dagger",
     "bipartite_product",
     "block_ops",
@@ -101,7 +95,6 @@ __all__ = [
     "even_pair_sum",
     "evolve",
     "haar_random_state",
-    "hermitian_evolve",
     "ketbra",
     "kron_all",
     "load_state",

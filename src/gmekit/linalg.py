@@ -16,8 +16,6 @@ import numpy as np
 
 from .exceptions import ShapeError, ValidationError
 
-HERMITICITY_ATOL = 1e-10
-
 
 def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
@@ -46,31 +44,6 @@ def kron_all(factors: Sequence) -> np.ndarray:
     return out
 
 
-def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
-    """True when max |a - a†| entry is within atol."""
-    a = _as_square(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
-
-
-def hermitian_evolve(h, t: float, v) -> np.ndarray:
-    """Apply exp(-i*t*h) to the vector v via eigendecomposition of h.
-
-    The spaces handled here are at most a few hundred dimensions, so exact
-    diagonalisation is preferred over series or splitting methods.  Norm is
-    preserved to machine precision.
-
-    Raises ValidationError if h is not hermitian within 1e-10 (entrywise).
-    """
-    h = _as_square(h)
-    if not is_hermitian(h):
-        raise ValidationError("hermitian_evolve requires a hermitian matrix")
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.shape[0] != h.shape[0]:
-        raise ShapeError(f"vector shape {v.shape} does not match matrix {h.shape}")
-    w, u = np.linalg.eigh(h)
-    return u @ (np.exp(-1j * t * w) * (u.conj().T @ v))
-
-
 def basis_index(dims: Sequence[int], occupation: Sequence[int]) -> int:
     """Flat index of the basis state with the given occupation numbers."""
     if len(occupation) != len(dims):
@@ -81,10 +54,3 @@ def basis_index(dims: Sequence[int], occupation: Sequence[int]) -> int:
         return int(np.ravel_multi_index(tuple(occupation), tuple(dims)))
     except ValueError as exc:
         raise IndexError(f"occupation {tuple(occupation)} out of range for dims {tuple(dims)}") from exc
-
-
-def basis_vector(dims: Sequence[int], occupation: Sequence[int]) -> np.ndarray:
-    """Unit vector |occupation> in the composite space."""
-    vec = np.zeros(int(np.prod(dims)), dtype=complex)
-    vec[basis_index(dims, occupation)] = 1.0
-    return vec

@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from gmekit import DensityMatrix, PureState, haar_random_state
+from gmekit import DensityMatrix, PureState, basis_index, haar_random_state
+
+
+def basis_vector(dims, occupation) -> np.ndarray:
+    """Unit vector |occupation> in the composite space: a row of the identity."""
+    return np.eye(int(np.prod(dims)), dtype=complex)[basis_index(dims, occupation)]
 
 
 def random_pure_state(rng, dims) -> PureState:

@@ -166,6 +166,31 @@ def label_bipartition(label):
     return frozenset(frozenset("abcdefgh".index(c) for c in side) for side in label.split("|"))
 
 
+# --- exact evolution, the reference for the down-conversion dynamics ----------
+
+
+def hermitian_evolve(h, t: float, v) -> np.ndarray:
+    """Apply exp(-i*t*h) to the vector v via eigendecomposition of h.
+
+    The spaces handled here are at most a few hundred dimensions, so exact
+    diagonalisation is preferred over series or splitting methods.  Norm is
+    preserved to machine precision.
+
+    Raises ValidationError if h is not hermitian within 1e-10 (entrywise).
+    """
+    from gmekit import ShapeError, ValidationError
+    from gmekit.linalg import _as_square
+
+    h = _as_square(h)
+    if not np.max(np.abs(h - h.conj().T)) <= 1e-10:
+        raise ValidationError("hermitian_evolve requires a hermitian matrix")
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 1 or v.shape[0] != h.shape[0]:
+        raise ShapeError(f"vector shape {v.shape} does not match matrix {h.shape}")
+    w, u = np.linalg.eigh(h)
+    return u @ (np.exp(-1j * t * w) * (u.conj().T @ v))
+
+
 # --- mixtures rebuilt as explicit outer-product sums ----------------------------
 
 

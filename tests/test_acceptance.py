@@ -16,7 +16,6 @@ from gmekit import (
     all_bipartitions,
     boson_annihilation,
     evolve,
-    hermitian_evolve,
     ketbra,
     quadripartite_dagger,
     qutrit_lower,
@@ -36,7 +35,7 @@ from helpers import (
     random_pure_state,
     random_rank_one,
 )
-from oracles import tri_dagger_bruteforce
+from oracles import hermitian_evolve, tri_dagger_bruteforce
 
 SM = sigma_minus()
 TOLERANCE = 1e-10

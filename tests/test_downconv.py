@@ -10,12 +10,12 @@ from gmekit import (
     downconv_witness,
     even_pair_sum,
     evolve,
-    hermitian_evolve,
     subspace_hamiltonian,
     sweep_rows,
     time_series,
     to_pure_state,
 )
+from oracles import hermitian_evolve
 
 
 def full_space_hamiltonian(params):

@@ -7,14 +7,13 @@ from gmekit import (
     DensityMatrix,
     ValidationError,
     basis_index,
-    basis_vector,
-    hermitian_evolve,
     kron_all,
     qutrit_lower,
     sigma_minus,
 )
 from gmekit.witness import _expectation
-from helpers import random_hermitian, random_matrix
+from helpers import basis_vector, random_hermitian, random_matrix
+from oracles import hermitian_evolve
 
 SM = sigma_minus()
 SP = SM.conj().T

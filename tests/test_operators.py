@@ -5,7 +5,6 @@ import gmekit
 import gmekit.operators
 from gmekit import (
     ValidationError,
-    basis_vector,
     block_ops,
     block_sum,
     boson_annihilation,
@@ -16,7 +15,7 @@ from gmekit import (
     qutrit_raise,
     sigma_minus,
 )
-from helpers import random_matrix
+from helpers import basis_vector, random_matrix
 
 QUTRIT_DIMS = (3, 3, 3)
 
