@@ -118,13 +118,12 @@ def _party_forms(u: np.ndarray, v: np.ndarray) -> dict[str, np.ndarray]:
     return {"X": x, "X†": xd, **{form: make(x, xd) for form, make in _FORMS.items()}}
 
 
-def _closed_form(expect, rules, vectors, k: int, side: int) -> np.ndarray:
+def _closed_form(expect, rules, vectors, mats, k: int, side: int) -> np.ndarray:
     """The unit vector in slot ``side`` (0: u, 1: v) of party k that maximises
-    the RSS ratio, given the rule's forms per bipartition and every other
-    vector; the current one when the lhs vanishes whatever it is.  a and the
-    Q_j are expectations with |e_i><e_j| at party k."""
+    the RSS ratio, given the rule's forms per bipartition, every other vector
+    and each party's ``_party_forms``; the current one when the lhs vanishes
+    whatever it is.  a and the Q_j are expectations with |e_i><e_j| at k."""
     lhs_forms, terms = rules[0][0], [groups for _, groups in rules]
-    mats = [_party_forms(u, v) for u, v in vectors]
     u, v = vectors[k]
     d = len(u)
     basis = _basis_operators(d)
@@ -208,13 +207,16 @@ def optimize(
         else:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
             vectors = [[_phase_fixed(haar_random_state(d, rng)) for _ in "uv"] for d in state.dims]
+        mats = [_party_forms(u, v) for u, v in vectors]  # rebuilt as the vectors change
         ratio = -math.inf
         for sweep in range(budget):
             if sweep:
                 for party in range(n_ops):
                     for side in (0, 1):
-                        vectors[party][side] = _closed_form(expect, rules, vectors, party, side)
-            ops = [np.outer(u, v.conj()) for u, v in vectors]
+                        w = _closed_form(expect, rules, vectors, mats, party, side)
+                        vectors[party][side] = w
+                        mats[party] = _party_forms(*vectors[party])
+            ops = [m["X"] for m in mats]
             report = evaluate_condition(condition, state, ops, tolerance=tolerance)
             evaluations += 1
             if best is None or (report.margin > best[0].margin and report.rhs_max >= _RESOLVED):

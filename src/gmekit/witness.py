@@ -60,10 +60,11 @@ from operator import itemgetter
 import numpy as np
 
 from .exceptions import NumericalConsistencyError, ShapeError, ValidationError
-from .linalg import _as_square, kron_all
+from .linalg import _as_square
 from .states import DensityMatrix, PureState, _check_weight, all_bipartitions
-# white_noise_mix is unused here but stays part of this module's namespace,
-# where callers look it up.
+# kron_all and white_noise_mix are unused here but stay part of this module's
+# namespace, where callers look them up.
+from .linalg import kron_all  # noqa: F401
 from .states import white_noise_mix  # noqa: F401
 
 DEFAULT_TOLERANCE = 1e-10
@@ -160,17 +161,18 @@ def _check_factors(dims: Sequence[int], ops: Sequence) -> list[np.ndarray]:
     return mats
 
 
-def _expect_rows(rows: np.ndarray, dims: Sequence[int], factor_lists) -> list[complex]:
-    # sum_j <r_j|F|r_j> over the rows of an (r, D) array for each factor list
-    # F: each factor acts on its own axis, then one inner product is taken,
-    # O(r * D * sum(d)) per list and no D x D operator.  Lists that begin with
-    # the same factor objects share the products of that prefix, short of the
-    # last factor, keyed by the prefix's ids, which are unique within one call.
-    partial_products = {}
-    values = []
-    for factors in factor_lists:
-        out, key = rows, ()
-        pre, post = rows.shape
+def _expect_rows(cols: np.ndarray, dims: Sequence[int], lists, left=None) -> list[complex]:
+    # sum_j <l_j|F|c_j> over the columns c_j of a (D, r) array and l_j of
+    # ``left`` (default: the same columns) for each factor list F.  Factor k
+    # acts on its own axis of all r columns at once, one stacked product over
+    # d_1...d_(k-1) whatever r is, O(r * D * sum(d)) per list and no D x D
+    # operator.  Lists that begin with the same factor objects share the
+    # products of that prefix, short of the last factor, keyed by the
+    # prefix's ids, which are unique within one call.
+    left = cols if left is None else left
+    partial_products, values = {}, []
+    for factors in lists:
+        out, key, pre, post = cols, (), 1, cols.size
         for f, d in zip(factors[:-1], dims):
             post //= d
             key += (id(f),)
@@ -178,7 +180,7 @@ def _expect_rows(rows: np.ndarray, dims: Sequence[int], factor_lists) -> list[co
                 partial_products[key] = f @ out.reshape(pre, d, post)
             out = partial_products[key]
             pre *= d
-        values.append(complex(np.vdot(rows, factors[-1] @ out.reshape(pre, dims[-1], 1))))
+        values.append(complex(np.vdot(left, factors[-1] @ out.reshape(pre, dims[-1], -1))))
     return values
 
 
@@ -188,14 +190,9 @@ def _expect_mixed(factors, dim: int) -> complex:
     return math.prod(complex(np.trace(f)) for f in factors) / dim
 
 
-def _expect_mixture(rows: np.ndarray, dims: Sequence[int], noise: float, lists) -> list[complex]:
-    values = _expect_rows(rows, dims, lists)
-    return [v + noise * _expect_mixed(f, rows.shape[1]) for v, f in zip(values, lists)]
-
-
-def _expect_density(matrix: np.ndarray, factor_lists) -> list[complex]:
-    # Tr(F rho) as an elementwise sum, O(D^2) rather than the O(D^3) product.
-    return [complex(np.einsum("ij,ji->", kron_all(f), matrix)) for f in factor_lists]
+def _expect_mixture(cols: np.ndarray, dims: Sequence[int], noise: float, lists) -> list[complex]:
+    values = _expect_rows(cols, dims, lists)
+    return [v + noise * _expect_mixed(f, cols.shape[0]) for v, f in zip(values, lists)]
 
 
 def _expectation(
@@ -207,31 +204,32 @@ def _expectation(
     The parties are the state's subsystems, or with ``blocks`` the two
     blocks, each taking its subsystems in the order listed: the state is
     permuted into block order, so a block operator is one factor and no
-    D x D embedding is formed.  A pure state is one row, and a mixture
-    sum_j w_j|psi_j><psi_j| + mu*I/D built by :mod:`gmekit.states` is the
-    rows sqrt(w_j)*psi_j plus mu times Tr(F)/D; lists share the products of
-    common leading factors.  Only a matrix given by the caller is traced
-    against the D x D product, one ``kron_all`` per list.
+    D x D embedding is formed.  Every state goes through one kernel, which
+    holds its rows as the columns of a (D, r) array: a pure state is one
+    row; a mixture sum_j w_j|psi_j><psi_j| + mu*I/D built by
+    :mod:`gmekit.states` is the rows sqrt(w_j)*psi_j plus mu times Tr(F)/D;
+    and a matrix rho given by the caller is the rows rho^T taken against
+    the identity, since Tr(F rho) = sum_i <e_i|F|column i of rho>.  Lists
+    share the products of common leading factors.
     """
+    dims, left, noise = state.dims, None, 0.0
     if isinstance(state, PureState):
-        rows, noise = state.amplitudes[None], 0.0
+        cols = state.amplitudes[:, None]
+    elif state._rows is None:  # the columns of rho, not of rho^H: hermitian only to 1e-10
+        cols, left = state.matrix, _eye(state.dim)
     else:
-        rows, noise = state._rows, state._noise
-    data = state.matrix if rows is None else rows
-    dims = state.dims
+        cols, noise = np.ascontiguousarray(state._rows.T), state._noise
     if blocks is not None:
-        order = [*blocks[0], *blocks[1]]
-        if rows is None:  # both indices of the matrix
-            shape, axes = dims * 2, order + [len(dims) + i for i in order]
-        else:
-            shape, axes = (-1, *dims), [0] + [1 + i for i in order]
-        data = data.reshape(shape).transpose(axes).reshape(data.shape)
+        n, order = len(dims), [*blocks[0], *blocks[1]]
+        if left is None:  # the basis index of each column
+            shape, axes = (*dims, -1), order + [n]
+        else:  # both indices of the matrix
+            shape, axes = dims * 2, order + [n + i for i in order]
+        cols = cols.reshape(shape).transpose(axes).reshape(cols.shape)
         dims = tuple(math.prod(dims[i] for i in block) for block in blocks)
-    if rows is None:
-        return dims, partial(_expect_density, data)
     if noise:
-        return dims, partial(_expect_mixture, data, dims, noise)
-    return dims, partial(_expect_rows, data, dims)
+        return dims, partial(_expect_mixture, cols, dims, noise)
+    return dims, partial(_expect_rows, cols, dims, left=left)
 
 
 def _positive(value: complex, tolerance: float, what: str) -> float:

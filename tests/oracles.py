@@ -115,6 +115,12 @@ def bipartite_bruteforce(data, dims, left, right, op_l, op_m):
 # ⟨∏ X†X over one block⟩·⟨∏ X†X over the other⟩.
 
 
+def kron_trace(rho, factors) -> complex:
+    """Tr((F1 x F2 x ...) rho): the Kronecker product of the factors, then
+    an elementwise sum against rho, the reference for a caller's matrix."""
+    return complex(np.einsum("ij,ji->", reduce(np.kron, factors), rho))
+
+
 def _full_expect(data, factors) -> complex:
     full = reduce(np.kron, factors)
     if np.ndim(data) == 1:

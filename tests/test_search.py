@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmekit
+import gmekit.search as search_module
 from gmekit import (
     DensityMatrix,
     RankOneParams,
@@ -22,7 +23,8 @@ from gmekit import (
     superposition,
     white_noise_mix,
 )
-from gmekit.search import SEARCH_CONDITIONS, _closed_form, _dagger_terms, _product_terms
+from gmekit.search import SEARCH_CONDITIONS, _dagger_terms, _party_forms, _product_terms
+from gmekit.search import _closed_form
 from gmekit.witness import _expectation
 from helpers import random_density_matrix, random_pure_state
 from oracles import dagger_oracle, product_counterexample
@@ -176,6 +178,10 @@ def _unit(rng, d):
     return z / np.linalg.norm(z)
 
 
+def _forms(vectors):
+    return [_party_forms(u, v) for u, v in vectors]
+
+
 def _with(vectors, k, side, w):
     out = [list(pair) for pair in vectors]
     out[k][side] = w
@@ -212,12 +218,31 @@ def test_update_beats_random_vectors(condition, which_dims, kind, k, side, seed)
     state = _state(kind, dims, rng)
     vectors = [[_unit(rng, d), _unit(rng, d)] for d in dims]
     _, expect = _expectation(state)
-    w = _closed_form(expect, _rules(condition, len(dims)), vectors, k, side)
+    w = _closed_form(expect, _rules(condition, len(dims)), vectors, _forms(vectors), k, side)
     assert w.shape == (dims[k],) and abs(np.linalg.norm(w) - 1) < 1e-12
     best = _rss_ratio(condition, state, _with(vectors, k, side, w))
     for _ in range(64):
         other = _rss_ratio(condition, state, _with(vectors, k, side, _unit(rng, dims[k])))
         assert best >= other - 1e-12 * max(1.0, other)
+
+
+@pytest.mark.parametrize("condition", SEARCH_CONDITIONS)
+def test_each_update_sees_the_forms_of_its_current_vectors(condition, monkeypatch):
+    # optimize rebuilds a party's forms only when one of its vectors changes;
+    # every update must still get the forms of the vectors as they stand.
+    real, calls = search_module._closed_form, []
+
+    def checked(expect, rules, vectors, mats, k, side):
+        for got, fresh in zip(mats, _forms(vectors)):
+            assert all(np.array_equal(got[form], fresh[form]) for form in fresh)
+        calls.append(k)
+        return real(expect, rules, vectors, mats, k, side)
+
+    monkeypatch.setattr(search_module, "_closed_form", checked)
+    rng = np.random.default_rng(len(condition))
+    state = _state("mixture", DIMS[condition][1], rng)
+    optimize(state, condition, restarts=2, budget=5, seed=3)
+    assert len(calls) >= 2 * 2 * len(state.dims)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -229,7 +254,7 @@ def test_update_takes_the_kernel_component(seed):
     state = random_pure_state(rng, (4, 2, 2))
     vectors = [[_unit(rng, d), _unit(rng, d)] for d in state.dims]
     _, expect = _expectation(state)
-    w = _closed_form(expect, _rules("tri-dagger", 3), vectors, 0, 1)
+    w = _closed_form(expect, _rules("tri-dagger", 3), vectors, _forms(vectors), 0, 1)
     assert np.all(np.isfinite(w))
     ops = [np.outer(u, v.conj()) for u, v in _with(vectors, 0, 1, w)]
     report = evaluate_condition("tri-dagger", state, ops)
@@ -248,7 +273,7 @@ def test_kernel_update_restores_the_flip_pair_optimum(seed):
     for k in range(3):
         for side in (0, 1):
             vectors = _with(canonical, k, side, _unit(rng, 2))
-            w = _closed_form(expect, _rules("tri-dagger", 3), vectors, k, side)
+            w = _closed_form(expect, _rules("tri-dagger", 3), vectors, _forms(vectors), k, side)
             assert np.all(np.isfinite(w))
             ops = [np.outer(u, v.conj()) for u, v in _with(vectors, k, side, w)]
             assert evaluate_condition("tri-dagger", psi, ops).margin >= 0.5 - 1e-9

@@ -1,10 +1,10 @@
 import json
 import math
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gmekit.states as states_module
@@ -31,7 +31,8 @@ from gmekit import (
     tripartite_product,
     white_noise_mix,
 )
-from gmekit.witness import _expectation, _positive
+from gmekit.witness import CONDITION_NAMES, _expect_rows, _expectation, _positive
+from gmekit.witness import condition_arity
 from helpers import (
     random_density_matrix,
     random_hermitian,
@@ -43,6 +44,7 @@ from oracles import (
     bipartite_bruteforce,
     block_expectation_bruteforce,
     dagger_oracle,
+    kron_trace,
     label_bipartition,
     product_oracle,
     product_expectation_bruteforce,
@@ -687,6 +689,9 @@ def test_batched_kernel_shares_only_common_prefixes(dims, blocks):
         random_biseparable(dims, parts, len(parts) + 1, rng),
         random_density_matrix(rng, dims),
     ]
+    r = d // 2 + 1  # more rows than D/d_n for any last factor
+    states.append(states_module.DensityMatrix._mixture(
+        dims, np.full(r, 0.9 / r), [states_module.haar_random_state(d, rng) for _ in range(r)], 0.1))
     parties = dims if blocks is None else [math.prod(dims[i] for i in b) for b in blocks]
     a = [random_matrix(rng, p, p) for p in parties]
     b = [random_matrix(rng, p, p) for p in parties]
@@ -705,3 +710,61 @@ def test_batched_kernel_shares_only_common_prefixes(dims, blocks):
             else:
                 want = block_expectation_bruteforce(rho, dims, *blocks, *factors)
             assert abs(got - want) <= 1e-12
+    # Columns taken against a different left array: sum_j <l_j|F|c_j>.
+    cols, left = random_matrix(rng, d, 3), random_matrix(rng, d, 3)
+    expect = partial(_expect_rows, cols, parties, left=left)
+    batched = expect(lists)
+    assert batched == [expect([f])[0] for f in lists]
+    for factors, got in zip(lists, batched):
+        assert abs(got - np.vdot(left, reduce(np.kron, factors) @ cols)) <= 1e-12
+
+
+# bi1/bi2 blocks per dims for the caller-matrix property below.
+CALLER_BLOCKS = {(2, 2, 2): ((0, 2), (1,)), (2, 3, 2): ((0, 2), (1,)),
+                 (3, 3, 3): ((0, 2), (1,)), (2, 2, 2, 2): ((1, 3), (0, 2))}
+
+
+def _kron_expectation(state, blocks=None):
+    """The caller-matrix reference: rho with its subsystems reindexed into
+    block order, then one Kronecker product and trace per factor list."""
+    dims, rho = state.dims, state.matrix
+    if blocks is not None:
+        perm = np.arange(rho.shape[0]).reshape(dims).transpose([*blocks[0], *blocks[1]]).ravel()
+        rho = rho[np.ix_(perm, perm)]
+        dims = tuple(math.prod(dims[i] for i in b) for b in blocks)
+    return dims, lambda lists: [kron_trace(rho, factors) for factors in lists]
+
+
+@given(st.sampled_from(sorted(CALLER_BLOCKS)), st.sampled_from([0.0, 3e-11]),
+       st.integers(0, 2**32 - 1))
+@example((2, 2, 2), 3e-11, 0)
+@example((2, 2, 2, 2), 3e-11, 1)
+@settings(max_examples=40, deadline=None)
+def test_caller_matrix_reports_match_the_kronecker_trace(dims, skew, seed):
+    # A complex density matrix plus skew times a traceless random matrix:
+    # hermitian only to about skew, which the constructor accepts.  The
+    # kernel takes rho's columns, rho^T as rows; rho's conjugate, equal to
+    # rho^T only for an exactly hermitian rho, moves the lhs by about 1e-10.
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    g = random_matrix(rng, d, d)
+    k = random_matrix(rng, d, d)
+    k -= np.trace(k) / d * np.eye(d)
+    rho = 0.5 * g @ g.conj().T / np.trace(g @ g.conj().T).real + 0.5 * np.eye(d) / d
+    state = states_module.DensityMatrix(dims, rho + skew * k)
+    for name in CONDITION_NAMES:
+        arity = condition_arity(name)
+        if arity not in (2, len(dims)):
+            continue
+        blocks = CALLER_BLOCKS[dims] if arity == 2 else None
+        parties = dims if blocks is None else [math.prod(dims[i] for i in b) for b in blocks]
+        ops = [random_matrix(rng, p, p) for p in parties]
+        got = evaluate_condition(name, state, ops, blocks=blocks)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(witness_module, "_expectation", _kron_expectation)
+            want = evaluate_condition(name, state, ops, blocks=blocks)
+        assert [label for label, _ in got.rhs_terms] == [label for label, _ in want.rhs_terms]
+        assert abs(got.lhs - want.lhs) <= 1e-12, name
+        for (_, x), (_, y) in zip(got.rhs_terms, want.rhs_terms):
+            assert abs(x - y) <= 1e-12, name
+        assert got.violated == want.violated or abs(want.margin - want.tolerance) <= 1e-12

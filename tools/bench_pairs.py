@@ -16,14 +16,26 @@ subprocess on both sides, alternating in the same way, and keeps
 ``--importtime N`` runs N alternating ``python -X importtime -c "import
 gmekit"`` pairs and keeps the cumulative time of the gmekit line.
 
+``--inprocess N`` times every ``operator_search`` and ``noisy_certify`` task
+kind in one process, interleaved: the parent's ``src/gmekit`` is imported as
+the package ``gmekit_parent`` beside this checkout's ``gmekit``, and
+``benchmarks/workloads.py`` is loaded once per side with its gmekit modules
+bound to that side.  Round k runs cycle k of workload seed 1 on both sides,
+kind by kind, the parent first on even k; the file keeps each kind's
+median per side and the rounds the change won.  Host drift between
+processes does not enter these numbers.
+
 Each run writes the output file afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,6 +46,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 20  # BENCHMARK.json's run_seconds, the same on both sides
 CLI_SEEDS = range(21, 27)
+INPROCESS_WORKLOADS = ("operator_search", "noisy_certify")
+INPROCESS_SEED = 1
 
 
 def extract(rev: str, dest: str) -> str:
@@ -135,6 +149,62 @@ def import_ms(tree: str) -> float:
     raise RuntimeError("no gmekit line in -X importtime output")
 
 
+def load_workloads(name: str, package: str):
+    """``benchmarks/workloads.py`` as module ``name``, its gmekit modules
+    taken from ``package``."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "benchmarks", "workloads.py"))
+    mod = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    for attr in ("downconv", "search", "states", "witness"):
+        setattr(mod, attr, importlib.import_module(f"{package}.{attr}"))
+    return mod
+
+
+def inprocess(parent_tree: str, tmp: str, rounds: int) -> dict:
+    """Per workload and kind: each side's median task time and the rounds
+    the change won, timed interleaved in this process."""
+    shutil.copytree(os.path.join(parent_tree, "src", "gmekit"),
+                    os.path.join(tmp, "inproc", "gmekit_parent"))
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "benchmarks"),
+                    os.path.join(tmp, "inproc")]
+    sides = {"parent": load_workloads("workloads_parent", "gmekit_parent"),
+             "change": load_workloads("workloads_change", "gmekit")}
+    out = {}
+    for workload in INPROCESS_WORKLOADS:
+        runs = {side: mod.WORKLOADS[workload](INPROCESS_SEED, ROOT) for side, mod in sides.items()}
+        for run in runs.values():
+            run.prepare()
+            run.warm_up()
+        times = {side: {} for side in runs}
+        failed = {side: 0 for side in runs}
+        for k in range(rounds):
+            cycles = {side: run.cycle(k) for side, run in runs.items()}
+            for i, kind in enumerate(t.kind for t in cycles["change"]):
+                for side in order(k + 1):
+                    task = cycles[side][i]
+                    t0 = time.perf_counter()
+                    result = task.run()
+                    times[side].setdefault(kind, []).append(time.perf_counter() - t0)
+                    failed[side] += task.check(result) is not None
+        for run in runs.values():
+            run.close()
+        kinds = {}
+        for kind, parent in times["parent"].items():
+            change = times["change"][kind]
+            p_ms, c_ms = (1e3 * statistics.median(t) for t in (parent, change))
+            kinds[kind] = {"parent_median_ms": p_ms, "change_median_ms": c_ms,
+                           "change_over_parent": c_ms / p_ms,
+                           "change_wins": sum(c < p for p, c in zip(parent, change))}
+        out[workload] = {"rounds": rounds, "failed_tasks": failed, "kinds": kinds,
+                         "sum_of_medians_ms": {
+                             side: sum(k[f"{side}_median_ms"] for k in kinds.values())
+                             for side in ("parent", "change")}}
+        print(f"in-process {workload}: sum of medians "
+              f"{out[workload]['sum_of_medians_ms']}", file=sys.stderr)
+    return out
+
+
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--topic", required=True)
@@ -144,6 +214,8 @@ def parse_args(argv=None):
     p.add_argument("--cli", action="append", default=[],
                    help="gme arguments, one string per command")
     p.add_argument("--importtime", type=int, default=0)
+    p.add_argument("--inprocess", type=int, default=0,
+                   help="rounds of in-process interleaved timing per task kind")
     return p.parse_args(argv)
 
 
@@ -209,6 +281,14 @@ def main(argv=None) -> int:
                 "pairs": args.importtime, "order": "alternating which side runs first",
                 "parent": spread(times["parent"]), "change": spread(times["change"]),
                 "change_faster_in": sum(c < p for p, c in zip(times["parent"], times["change"])),
+            }
+        if args.inprocess:
+            doc["inprocess"] = {
+                "method": f"benchmarks/workloads.py task kinds, cycles 0-{args.inprocess - 1} "
+                          f"of seed {INPROCESS_SEED}, the parent ({parent_rev}) imported as "
+                          "gmekit_parent beside this checkout's gmekit in one process; per "
+                          "round, kind by kind, the parent first on even rounds",
+                "workloads": inprocess(trees["parent"], tmp, args.inprocess),
             }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
